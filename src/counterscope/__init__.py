@@ -19,7 +19,7 @@ from . import (
     traces,
 )
 from .catalog import MetricCatalog, MetricDescriptor, builtin_catalog, load_catalog, write_catalog
-from .traces import LabeledCorpus, MetricTrace, TraceSet, read_manifest, read_wide_csv
+from .traces import LabeledCorpus, TraceSet, read_manifest, read_wide_csv
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "load_catalog",
     "write_catalog",
     "LabeledCorpus",
-    "MetricTrace",
     "TraceSet",
     "read_manifest",
     "read_wide_csv",

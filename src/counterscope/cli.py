@@ -29,7 +29,7 @@ from .defense import (
     inject_noise,
     read_access_log,
 )
-from .errors import DataError
+from .errors import DataError, DegenerateInputError
 from .features import (
     LAYOUT_SEQUENCE,
     LAYOUT_STAT4,
@@ -111,7 +111,8 @@ class RunConfig:
         return value
 
     def seed(self) -> int:
-        return int(self.get("seed", _default_seed()))
+        """The seed reduced modulo 2**64, as derive_seed does: -1 is 2**64 - 1."""
+        return int(self.get("seed", _default_seed())) % 2**64
 
     def out_dir(self) -> str:
         out = getattr(self.args, "out")
@@ -145,47 +146,49 @@ def _write_json(path, payload) -> None:
 # ---------------------------------------------------------------------------
 # trainer construction shared by train/cv/lopo/grid/screen
 
+# Trainers are looked up by name in this module's globals when they run, so
+# a wrapper installed at counterscope.cli.train_rf (say) sees every fit.
+_TRAINERS = {"rf": "train_rf", "svm": "train_linear_svm", "knn": "train_knn",
+             "mlp": "train_mlp"}
 
-def _trainer_factory(model_name: str, cfg: RunConfig, seed: int):
+
+def _trainer_factory(model_name: str, cfg: RunConfig, seed: int,
+                     overrides: dict | None = None):
+    """(trainer, params): flags, then config values, then defaults, with
+    `overrides` (one grid entry) replacing params of the same name."""
     if model_name == "rf":
         params = {"n_trees": int(cfg.get("trees", 100)),
                   "max_depth": cfg.get("max_depth", None),
                   "seed": seed}
         if params["max_depth"] is not None:
             params["max_depth"] = int(params["max_depth"])
-        return lambda X, y: train_rf(X, y, **params), params
-    if model_name == "svm":
+    elif model_name == "svm":
         params = {"lr": float(cfg.get("lr", 0.01)),
                   "epochs": int(cfg.get("epochs", 50)),
                   "reg_lambda": float(cfg.get("reg_lambda", 1e-3)),
                   "seed": seed}
-        return lambda X, y: train_linear_svm(X, y, **params), params
-    if model_name == "knn":
+    elif model_name == "knn":
         params = {"k": int(cfg.get("neighbors", 5))}
-        return lambda X, y: train_knn(X, y, **params), params
-    if model_name == "mlp":
+    elif model_name == "mlp":
         params = {"hidden_size": int(cfg.get("hidden", 32)),
                   "learning_rate": float(cfg.get("lr", 0.05)),
                   "epochs": int(cfg.get("epochs", 100)),
                   "batch_size": int(cfg.get("batch", 16)),
                   "seed": seed}
-        return lambda X, y: train_mlp(X, y, **params), params
-    raise DataError(f"unknown model {model_name!r}")
+    else:
+        raise DataError(f"unknown model {model_name!r}")
+    for key in overrides or {}:
+        if key not in params:
+            raise DataError(f"unknown {model_name} parameter {key!r}; "
+                            f"known: {', '.join(params)}")
+    params.update(overrides or {})
+    return lambda X, y: globals()[_TRAINERS[model_name]](X, y, **params), params
 
 
 def _build_features(corpus, metrics, norm, layout):
     if layout == LAYOUT_SEQUENCE:
         return build_sequences(corpus, metrics, norm)
     return build_stat_features(corpus, metrics, norm, layout)
-
-
-def _fit_width(values: np.ndarray, width: int) -> np.ndarray:
-    if values.shape[1] == width:
-        return values
-    out = np.zeros((values.shape[0], width))
-    keep = min(width, values.shape[1])
-    out[:, :keep] = values[:, :keep]
-    return out
 
 
 def _report_outputs(report, out_dir: str) -> None:
@@ -294,15 +297,18 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     corpus = read_manifest(cfg.args.manifest)
-    model, context = load_model(cfg.args.model_file)
-    metrics = context["metrics"] or corpus.metrics
-    layout = context["layout"] or LAYOUT_STAT4
-    norm = context["normalizer"] or fit_normalizer(corpus, metrics)
-    features = _build_features(corpus, metrics, norm, layout)
-    width = getattr(model, "n_features", None)
-    if width is not None:
-        features.values = _fit_width(features.values, width)
-    report = evaluate(model, features, corpus.labels())
+    path = cfg.args.model_file
+    model, context = load_model(path)
+    for key in ("metrics", "layout", "normalizer"):
+        if context[key] is None:
+            raise DataError(f"{path}: field {key!r} is missing")
+    features = _build_features(corpus, context["metrics"], context["normalizer"],
+                               context["layout"])
+    try:
+        report = evaluate(model, features, corpus.labels())
+    except DegenerateInputError as exc:  # the model's own feature-width check
+        raise DataError(f"{path}: field 'model' does not fit its metrics and "
+                        f"layout: {exc}") from None
     _report_outputs(report, out)
     cfg.write_effective(out, "eval")
     print(f"accuracy {report.accuracy:.4f}  macro-F1 {report.macro_f1:.4f}")
@@ -352,24 +358,22 @@ def cmd_grid(cfg: RunConfig) -> int:
         grid = json.load(fh)
     if not isinstance(grid, list):
         raise DataError(f"{cfg.args.grid}: grid must be a JSON array of objects")
+    for i, entry in enumerate(grid):
+        try:
+            if not isinstance(entry, dict):
+                raise DataError("must be a JSON object")
+            _trainer_factory(model_name, cfg, seed, entry)
+        except DataError as exc:
+            raise DataError(f"{cfg.args.grid}: entry {i}: {exc}") from None
     layout = cfg.get("layout", LAYOUT_STAT4)
     metrics = corpus.metrics
     norm = fit_normalizer(corpus, metrics)
     features = _build_features(corpus, metrics, norm, layout)
 
-    def family(params):
-        if model_name == "rf":
-            return lambda X, y: train_rf(X, y, seed=seed, **params)
-        if model_name == "svm":
-            return lambda X, y: train_linear_svm(X, y, seed=seed, **params)
-        if model_name == "knn":
-            return lambda X, y: train_knn(X, y, **params)
-        if model_name == "mlp":
-            return lambda X, y: train_mlp(X, y, seed=seed, **params)
-        raise DataError(f"unknown model {model_name!r}")
-
-    best_params, report = grid_search(features, corpus.labels(), family, grid,
-                                      k=int(cfg.get("k", 5)), seed=seed)
+    best_params, report = grid_search(
+        features, corpus.labels(),
+        lambda entry: _trainer_factory(model_name, cfg, seed, entry)[0], grid,
+        k=int(cfg.get("k", 5)), seed=seed)
     _write_json(os.path.join(out, "best_params.json"), best_params)
     _report_outputs(report, out)
     cfg.write_effective(out, "grid")
@@ -385,7 +389,8 @@ def cmd_count(cfg: RunConfig) -> int:
     window = int(cfg.get("window", 3))
     gap = int(cfg.get("gap", 3))
     min_jump = cfg.get("min_jump", None)
-    jumps = float(min_jump) if min_jump is not None else default_min_jumps(cfg.profile())
+    jumps = (float(min_jump) if min_jump is not None
+             else default_min_jumps(cfg.profile(), metrics=trace.metrics))
     from .stepcount import count_participants
 
     count, per_metric = count_participants(trace, catalog, jumps, window, gap)

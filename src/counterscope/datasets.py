@@ -15,12 +15,12 @@ from .catalog import MetricCatalog, builtin_catalog
 from .defense import GaussianNoise
 from .seeding import derive_seed
 from .simulator import (
-    DEFAULT_PROFILE,
     AppSession,
     ClassSpec,
     CorpusSpec,
     MetricResponse,
     ObjectSweep,
+    ResponseModel,
     SceneScript,
     StaticObject,
     generate_corpus,
@@ -96,10 +96,8 @@ def redundancy_corpus(seed: int = 20_240_817, n_seconds_per_item: int = 120,
         noise = latents[:, len(kept) + j]
         columns[dropped_id] = r * base_of[kept_id] + np.sqrt(max(0.0, 1.0 - r * r)) * noise
 
-    matrix = np.empty((n, len(metric_ids)))
-    for col, m in enumerate(metric_ids):
-        resp = DEFAULT_PROFILE[m]
-        matrix[:, col] = resp.b_vr + (resp.g / 4.0) * columns[m]
+    model = ResponseModel(metric_ids, catalog)
+    matrix = model.b_vr + (model.g / 4.0) * np.column_stack([columns[m] for m in metric_ids])
 
     items = []
     for i in range(n_items):

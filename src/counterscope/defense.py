@@ -22,7 +22,7 @@ from .errors import DataError, InvalidStrategyError
 from .features import build_stat_features, fit_normalizer
 from .models.evaluation import evaluate, stratified_split
 from .seeding import derive_seed
-from .simulator import COVERAGE_KAPPA, DEFAULT_PROFILE, MetricResponse, _GENERIC_RESPONSE
+from .simulator import COVERAGE_KAPPA, MetricResponse, ResponseModel
 from .traces import LabeledCorpus, TraceSet
 
 DEFAULT_MIN_EVENTS = 20
@@ -143,26 +143,22 @@ def inject_noise(trace: TraceSet, strategy: NoiseStrategy, catalog: MetricCatalo
     """
     if not isinstance(strategy, (GaussianNoise, DummyRender)):
         raise InvalidStrategyError(f"unknown strategy {type(strategy).__name__}")
-    profile = profile if profile is not None else DEFAULT_PROFILE
+    model = ResponseModel(trace.metrics, catalog, profile)
     rng_seed = strategy.seed if seed is None else seed
     matrix = trace.matrix.copy()
     if isinstance(strategy, GaussianNoise):
         if strategy.sigma > 0:
             rng = np.random.default_rng(rng_seed)
             noise = rng.standard_normal(matrix.shape)
-            for j, m in enumerate(trace.metrics):
-                resp = profile.get(m, _GENERIC_RESPONSE)
-                matrix[:, j] += strategy.sigma * resp.sigma * noise[:, j]
+            matrix += strategy.sigma * model.sigma * noise
     elif strategy.rate_per_s > 0:
         rng = np.random.default_rng(rng_seed)
         arrivals = rng.poisson(strategy.rate_per_s, matrix.shape[0])
         extra_load = np.clip(
             arrivals * COVERAGE_KAPPA * (strategy.size_s / strategy.depth_z) ** 2,
             0.0, 1.0)
-        for j, m in enumerate(trace.metrics):
-            if m in catalog:
-                resp = profile.get(m, _GENERIC_RESPONSE)
-                matrix[:, j] += catalog.get(m).sign * resp.g * extra_load
+        known = model.sign != 0  # metrics outside the catalog stay untouched
+        matrix[:, known] += (model.sign * model.g)[known] * extra_load[:, None]
     return TraceSet(list(trace.metrics), matrix, trace.t0, dict(trace.meta))
 
 

@@ -41,6 +41,18 @@ class TooShortError(DataError):
     """A series or trace is shorter than the operation requires."""
 
 
+class LengthMismatchError(DataError):
+    """Paired series have different shapes or are not 1-D."""
+
+
+class TooShortSeriesError(DataError):
+    """A statistic needs more samples than the series has."""
+
+
+class DegenerateXError(DataError):
+    """Regression on a constant predictor."""
+
+
 class InvalidScriptError(DataError):
     """A scene script violates its invariants."""
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UnknownMetricError
+from .stats import summarize
 from .traces import LabeledCorpus, TraceSet
 
 LAYOUT_STAT4 = "stat4"
@@ -115,14 +116,8 @@ def build_stat_features(corpus: LabeledCorpus, metrics: list[str],
     col_names = [f"{m}_{s}" for m in metrics for s in suffixes]
     rows = np.empty((len(corpus), len(col_names)))
     for i, item in enumerate(corpus):
-        feats = []
-        for m in metrics:
-            z = norm.apply(m, item.trace.values(m))
-            if layout == LAYOUT_STAT4:
-                feats.extend((z.mean(), z.std(), z.max(), z.min()))
-            else:
-                feats.extend((z.mean(), z.std()))
-        rows[i] = feats
+        stats = [summarize(norm.apply(m, item.trace.values(m))) for m in metrics]
+        rows[i] = [v for s in stats for v in s[:len(suffixes)]]
     return FeatureMatrix(rows, col_names, layout)
 
 
@@ -161,15 +156,3 @@ def extract_window(trace: TraceSet, t_start: int, length: int = 10) -> TraceSet:
     return TraceSet(list(trace.metrics),
                     trace.matrix[t_start:t_start + length].copy(),
                     trace.t0 + t_start, meta)
-
-
-def write_features_csv(features: FeatureMatrix, labels: list[str], path) -> None:
-    """CSV form: header is col_names plus a trailing label column."""
-    if len(labels) != features.n_rows:
-        raise DataError("labels length must match feature rows")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(features.col_names + ["label"]) + "\n")
-        for i in range(features.n_rows):
-            cells = [repr(float(v)) for v in features.values[i]]
-            cells.append(labels[i])
-            fh.write(",".join(cells) + "\n")

@@ -36,9 +36,6 @@ class PruneReport:
     retained: tuple[str, ...]
     dropped: tuple[DroppedPair, ...]
 
-    def retained_ids(self) -> list[str]:
-        return list(self.retained)
-
     def dropped_ids(self) -> list[str]:
         return [d.dropped for d in self.dropped]
 
@@ -136,9 +133,3 @@ def enforce_cap(ids: list[str], cap: int = PROFILER_METRIC_CAP) -> list[str]:
             UserWarning, stacklevel=2)
         return ids[:cap]
     return ids
-
-
-def intersect_metrics(ids: list[str], other: list[str]) -> list[str]:
-    """Set intersection preserving the order of the first list."""
-    other_set = set(other)
-    return [m for m in ids if m in other_set]

@@ -32,12 +32,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .catalog import MetricCatalog
-from .errors import InvalidScriptError, InvalidSpecError, SchemaError
+from .errors import DataError, InvalidScriptError, InvalidSpecError, SchemaError
 from .seeding import derive_seed
 from .traces import CorpusItem, LabeledCorpus, TraceSet
 
@@ -62,8 +63,9 @@ class MetricResponse:
     delta: float
     sigma: float
 
-    def baseline(self, scene_type: str) -> float:
-        return self.b_ar if scene_type == SCENE_AR else self.b_vr
+    def __post_init__(self):
+        if not self.sigma >= 0:
+            raise SchemaError(f"field 'sigma' must be >= 0, got {self.sigma!r}")
 
 
 # Default response profile for the built-in catalog. Magnitudes are synthetic
@@ -108,6 +110,37 @@ DEFAULT_PROFILE: dict[str, MetricResponse] = {
 _GENERIC_RESPONSE = MetricResponse(11.0, 10.0, 20.0, 4.0, 0.5)
 
 
+class ResponseModel:
+    """Per-metric response arrays (b_ar, b_vr, g, delta, sigma, sign) aligned
+    with `metrics`: the one place a metric's response is looked up.
+
+    Metrics absent from the profile (default: DEFAULT_PROFILE) take the
+    generic fallback response. sign is the catalog load direction, 0 for
+    metrics not in the catalog. Given a script, sigma is that script's
+    per-second noise: its noise_sigma override where it pins one, else the
+    profile sigma, doubled in AR scenes.
+    """
+
+    def __init__(self, metrics, catalog: MetricCatalog | None = None,
+                 profile: dict[str, MetricResponse] | None = None,
+                 script: SceneScript | None = None):
+        profile = profile if profile is not None else DEFAULT_PROFILE
+        self.metrics = list(metrics)
+        responses = [profile.get(m, _GENERIC_RESPONSE) for m in self.metrics]
+        self.b_ar, self.b_vr, self.g, self.delta, self.sigma = np.array(
+            [(r.b_ar, r.b_vr, r.g, r.delta, r.sigma) for r in responses],
+            dtype=float).reshape(-1, 5).T
+        self.sign = np.array([catalog.get(m).sign if catalog is not None and m in catalog
+                              else 0 for m in self.metrics], dtype=int)
+        ns = script.noise_sigma if script is not None else None
+        if ns is not None and not isinstance(ns, dict):
+            self.sigma = np.full(len(self.metrics), float(ns))
+        elif script is not None:
+            scale = AR_NOISE_FACTOR if script.scene_type == SCENE_AR else 1.0
+            self.sigma = np.array([float((ns or {}).get(m, s * scale))
+                                   for m, s in zip(self.metrics, self.sigma)])
+
+
 def builtin_profile() -> dict[str, MetricResponse]:
     return dict(DEFAULT_PROFILE)
 
@@ -120,21 +153,15 @@ def load_profile(path) -> dict[str, MetricResponse]:
     out = {}
     for mid, obj in raw.items():
         try:
-            out[mid] = MetricResponse(
-                b_ar=float(obj["b_ar"]), b_vr=float(obj["b_vr"]),
-                g=float(obj["g"]), delta=float(obj["delta"]),
-                sigma=float(obj["sigma"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            out[mid] = MetricResponse(**{f.name: float(obj[f.name])
+                                         for f in dataclasses.fields(MetricResponse)})
+        except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError(f"{path}: bad profile entry for {mid!r}: {exc}") from exc
     return out
 
 
 def write_profile(profile: dict[str, MetricResponse], path) -> None:
-    payload = {
-        mid: {"b_ar": r.b_ar, "b_vr": r.b_vr, "g": r.g, "delta": r.delta,
-              "sigma": r.sigma}
-        for mid, r in profile.items()
-    }
+    payload = {mid: dataclasses.asdict(r) for mid, r in profile.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -272,17 +299,6 @@ def _coverage(size_s: float, depth_z: float) -> float:
     return COVERAGE_KAPPA * (size_s / depth_z) ** 2
 
 
-def _resolve_sigma(script: SceneScript, metric_id: str,
-                   response: MetricResponse) -> float:
-    ns = script.noise_sigma
-    default = response.sigma * (AR_NOISE_FACTOR if script.scene_type == SCENE_AR else 1.0)
-    if ns is None:
-        return default
-    if isinstance(ns, dict):
-        return float(ns.get(metric_id, default))
-    return float(ns)
-
-
 def simulate(script: SceneScript, catalog: MetricCatalog,
              profile: dict[str, MetricResponse] | None = None) -> SimulationOutput:
     """Render a script into a TraceSet plus per-second pixel ground truth.
@@ -293,7 +309,7 @@ def simulate(script: SceneScript, catalog: MetricCatalog,
     if len(catalog) == 0:
         raise InvalidScriptError("catalog must be nonempty")
     script.validate()
-    profile = profile if profile is not None else DEFAULT_PROFILE
+    model = ResponseModel(catalog.ids(), catalog, profile, script)
     T = script.duration_s
     t = np.arange(T, dtype=float)
 
@@ -336,18 +352,13 @@ def simulate(script: SceneScript, catalog: MetricCatalog,
     rng = np.random.default_rng(script.seed)
     noise = rng.standard_normal((T, len(catalog)))
 
-    matrix = np.empty((T, len(catalog)))
-    for j, desc in enumerate(catalog):
-        resp = profile.get(desc.id, _GENERIC_RESPONSE)
-        app_level = np.zeros(T)
-        for ev, ramp in app_sessions:
-            gain = float(ev.intensity.get(desc.id, 0.0))
-            if gain:
-                app_level += gain * ramp
-        signal = resp.g * pixels + resp.delta * joins + resp.g * app_level
-        sigma = _resolve_sigma(script, desc.id, resp)
-        matrix[:, j] = resp.baseline(script.scene_type) + desc.sign * signal \
-            + sigma * noise[:, j]
+    app_level = np.zeros((T, len(catalog)))
+    for ev, ramp in app_sessions:
+        gains = np.array([float(ev.intensity.get(m, 0.0)) for m in model.metrics])
+        app_level += ramp[:, None] * gains
+    signal = model.g * pixels[:, None] + model.delta * joins[:, None] + model.g * app_level
+    baseline = model.b_ar if script.scene_type == SCENE_AR else model.b_vr
+    matrix = baseline + model.sign * signal + model.sigma * noise
 
     traces = TraceSet(
         catalog.ids(), matrix, t0=0,
@@ -440,12 +451,55 @@ def _event_to_dict(ev: SceneEvent) -> dict:
     raise InvalidScriptError(f"unknown event type {type(ev).__name__}")
 
 
+def _typed(*types):
+    """Converter that passes values of `types` through and rejects the rest."""
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}")
+        return value
+    return check
+
+
+_number = _typed(int, float)
+
+
+def _noise_sigma(value):
+    if isinstance(value, dict):
+        return {str(k): float(v) for k, v in value.items()}
+    return None if value is None else _number(value)
+
+
+def _field(obj: dict, key: str, convert, default=None):
+    """convert(obj.get(key, default)); a failure is a SchemaError naming the field."""
+    value = obj.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"field {key!r}: bad value {value!r} ({exc})") from None
+
+
+@contextmanager
+def _located(where):
+    """Prefix a DataError raised in the block with where the bad input sits."""
+    try:
+        yield
+    except DataError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _event_from_dict(obj: dict) -> SceneEvent:
+    if not isinstance(obj, dict):
+        raise SchemaError("an event must be a JSON object")
     kind = obj.get("kind")
     cls = _EVENT_KINDS.get(kind)
     if cls is None:
         raise SchemaError(f"unknown event kind {kind!r}")
     kwargs = {k: v for k, v in obj.items() if k != "kind"}
+    for f in dataclasses.fields(cls):
+        if f.type == "float" and f.name in kwargs:
+            _field(kwargs, f.name, _number)
+    if "intensity" in kwargs:
+        _field(kwargs, "intensity", lambda v: [_number(g) for g in _typed(dict)(v).values()])
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -466,35 +520,41 @@ def script_to_dict(script: SceneScript) -> dict:
 def script_from_dict(obj: dict) -> SceneScript:
     if not isinstance(obj, dict):
         raise SchemaError("scene script must be a JSON object")
-    noise = obj.get("noise_sigma")
-    if isinstance(noise, dict):
-        noise = {str(k): float(v) for k, v in noise.items()}
+    events = []
+    for k, e in enumerate(_field(obj, "events", _typed(list), [])):
+        with _located(f"events[{k}]"):
+            events.append(_event_from_dict(e))
     return SceneScript(
         scene_type=obj.get("scene_type", SCENE_VR),
-        duration_s=int(obj.get("duration_s", 30)),
-        seed=int(obj.get("seed", 0)),
-        fov_width_w=float(obj.get("fov_width_w", DEFAULT_FOV_HALF_WIDTH)),
-        events=tuple(_event_from_dict(e) for e in obj.get("events", [])),
-        noise_sigma=noise,
+        duration_s=_field(obj, "duration_s", int, 30),
+        seed=_field(obj, "seed", int, 0),
+        fov_width_w=_field(obj, "fov_width_w", float, DEFAULT_FOV_HALF_WIDTH),
+        events=tuple(events),
+        noise_sigma=_field(obj, "noise_sigma", _noise_sigma),
     )
 
 
 def load_script(path) -> SceneScript:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _located(path):
         return script_from_dict(json.load(fh))
 
 
 def corpus_spec_from_dict(obj: dict) -> CorpusSpec:
     if not isinstance(obj, dict) or "classes" not in obj:
         raise SchemaError("corpus spec must be an object with 'classes'")
-    classes = tuple(
-        ClassSpec(str(c["label"]), script_from_dict(c["script"]))
-        for c in obj["classes"])
-    return CorpusSpec(classes=classes,
-                      repetitions=int(obj.get("repetitions", 1)),
-                      seed=int(obj.get("seed", 0)))
+    classes = []
+    for i, c in enumerate(_field(obj, "classes", _typed(list))):
+        with _located(f"classes[{i}]"):
+            for key in ("label", "script"):
+                if not isinstance(c, dict) or key not in c:
+                    raise SchemaError(f"missing field {key!r}")
+            with _located("script"):
+                classes.append(ClassSpec(str(c["label"]), script_from_dict(c["script"])))
+    return CorpusSpec(classes=tuple(classes),
+                      repetitions=_field(obj, "repetitions", int, 1),
+                      seed=_field(obj, "seed", int, 0))
 
 
 def load_corpus_spec(path) -> CorpusSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _located(path):
         return corpus_spec_from_dict(json.load(fh))

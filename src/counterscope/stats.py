@@ -1,27 +1,15 @@
-"""Core statistical kernels: moments, Pearson r, z-scores, simple OLS.
+"""Core statistical kernels: moments, Pearson r, simple OLS.
 
 All moments are population moments (1/n), so sigma of [1,2,3] is sqrt(2/3).
-Degenerate-case conventions: Pearson of a constant series is 0, z-scores
-against a constant training series are all 0, and R^2 with SS_tot = 0 is 1.
+Degenerate-case conventions: Pearson of a constant series is 0 and R^2 with
+SS_tot = 0 is 1.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-
-
-class LengthMismatchError(DataError):
-    pass
-
-
-class TooShortSeriesError(DataError):
-    pass
-
-
-class DegenerateXError(DataError):
-    pass
+from .errors import DegenerateXError, LengthMismatchError, TooShortSeriesError
 
 
 @dataclass(frozen=True)
@@ -87,22 +75,6 @@ def pearson(x, y) -> float:
     su = np.sqrt(np.mean(u * u))
     sv = np.sqrt(np.mean(v * v))
     return float(np.mean(u * v) / (su * sv))
-
-
-def zscore_fit_apply(train, apply_to):
-    """Normalize apply_to with train's population mean/sigma.
-
-    Returns (normalized array, mu, sigma). sigma == 0 maps everything to 0.
-    """
-    train = np.asarray(train, dtype=float)
-    if train.size == 0:
-        raise TooShortSeriesError("empty training series")
-    apply_to = np.asarray(apply_to, dtype=float)
-    mu = float(train.mean())
-    sigma = float(train.std())  # numpy std is population (ddof=0)
-    if sigma == 0.0:
-        return np.zeros_like(apply_to), mu, sigma
-    return (apply_to - mu) / sigma, mu, sigma
 
 
 def linreg(x, y) -> RegressionFit:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import MetricCatalog
 from .errors import DataError, NoKnownMetricsError, NoStepFoundError, TooShortError
-from .simulator import DEFAULT_PROFILE, MetricResponse
+from .simulator import DEFAULT_PROFILE, MetricResponse, ResponseModel
 from .traces import TraceSet
 
 DEFAULT_WINDOW_S = 3
@@ -74,10 +74,15 @@ def detect_steps(series, min_jump: float, window_w: int = DEFAULT_WINDOW_S,
 
 
 def default_min_jumps(profile: dict[str, MetricResponse] | None = None,
-                      factor: float = MIN_JUMP_SIGMA_FACTOR) -> dict[str, float]:
-    """Per-metric thresholds at `factor` times the simulator noise sigma."""
-    profile = profile if profile is not None else DEFAULT_PROFILE
-    return {mid: factor * resp.sigma for mid, resp in profile.items()}
+                      factor: float = MIN_JUMP_SIGMA_FACTOR,
+                      metrics: list[str] | None = None) -> dict[str, float]:
+    """Per-metric thresholds at `factor` times the simulator noise sigma,
+    for `metrics` (default: the profile's); metrics the profile lacks use
+    the simulator's fallback sigma."""
+    if metrics is None:
+        metrics = list(profile if profile is not None else DEFAULT_PROFILE)
+    model = ResponseModel(metrics, profile=profile)
+    return dict(zip(model.metrics, (factor * model.sigma).tolist()))
 
 
 def _resolve_min_jump(min_jump, metric: str) -> float:
@@ -94,13 +99,14 @@ def count_participants(trace: TraceSet, catalog: MetricCatalog,
     """(majority count, per-metric counts) over the trace's catalog metrics.
 
     min_jump: per-metric dict, a global float, or None for the default
-    4-sigma thresholds of the built-in response profile.
+    4-sigma thresholds of the built-in response profile (fallback sigma for
+    metrics it lacks).
     """
-    if min_jump is None:
-        min_jump = default_min_jumps()
     known = [m for m in trace.metrics if m in catalog]
     if not known:
         raise NoKnownMetricsError("trace shares no metrics with the catalog")
+    if min_jump is None:
+        min_jump = default_min_jumps(metrics=known)
     per_metric: dict[str, int] = {}
     for m in known:
         events = detect_steps(trace.values(m), _resolve_min_jump(min_jump, m),

@@ -32,26 +32,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class MetricTrace:
-    """A single metric's 1 Hz series; sample k is at second t0 + k."""
-
-    metric: str
-    samples: np.ndarray
-    t0: int = 0
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 1:
-            raise DataError(f"{self.metric}: samples must be a nonempty 1-D series")
-        if not np.all(np.isfinite(samples)):
-            raise DataError(f"{self.metric}: samples contain NaN/Inf")
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
 @dataclass
 class TraceSet:
     """Aligned multi-metric 1 Hz trace block (n_seconds x n_metrics)."""
@@ -83,13 +63,6 @@ class TraceSet:
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
-
-    def column(self, metric: str) -> MetricTrace:
-        try:
-            j = self.metrics.index(metric)
-        except ValueError:
-            raise KeyError(metric) from None
-        return MetricTrace(metric, self.matrix[:, j].copy(), self.t0)
 
     def values(self, metric: str) -> np.ndarray:
         return self.matrix[:, self.metrics.index(metric)]
@@ -147,9 +120,6 @@ class LabeledCorpus:
 
     def groups(self) -> list[str]:
         return [it.group for it in self.items]
-
-    def distinct_labels(self) -> list[str]:
-        return sorted(set(self.labels()))
 
     def subset(self, indices) -> "LabeledCorpus":
         return LabeledCorpus([self.items[i] for i in indices])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -323,3 +324,213 @@ def test_console_entry_point_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "counterscope" in proc.stdout
+
+
+# Golden outputs: sha256 over every file a command writes (effective_config.json
+# excluded, since it echoes the output path). Pinned so that a refactor of the
+# simulator, defence or step counter cannot drift the bytes unnoticed.
+GOLDEN_SPEC = {
+    "seed": 17,
+    "repetitions": 2,
+    "classes": [
+        {"label": "vr_app", "script": {"scene_type": "vr", "duration_s": 24, "events": [
+            {"kind": "app_session", "app_id": "vr_app", "t_start": 4, "t_end": 18,
+             "intensity": {"gpu_bus_busy": 0.8, "texture_l2_miss": 0.3,
+                           "prims_clipped": 0.6}}]}},
+        {"label": "ar_joins", "script": {"scene_type": "ar", "duration_s": 40, "events": [
+            {"kind": "avatar_join", "t_join": 12},
+            {"kind": "avatar_join", "t_join": 24},
+            {"kind": "object_sweep", "size_s": 4.0, "speed_v": 2.0, "depth_z": 3.0,
+             "x_start": 20.0, "x_end": -20.0, "t_start": 2.0}]}},
+        {"label": "vr_static", "script": {
+            "scene_type": "vr", "duration_s": 24, "fov_width_w": 6.0,
+            "noise_sigma": {"gpu_bus_busy": 0.0, "prims_clipped": 3.0},
+            "events": [{"kind": "static_object", "size_s": 3.0, "depth_z": 2.0,
+                        "t_start": 6, "t_end": 14}]}},
+    ],
+}
+
+GOLDEN_SHA256 = {
+    "gen-corpus":
+        "eed8a99e3550126d9684e6e6c86318aed6ede11474b12b8446dc31e7f11654c9",
+    "gen-corpus-partial-profile":
+        "74326088522b19fc18bdf86c8425af69c170d311b7167efa1fa4bf1944590576",
+    "count":
+        "a4a85c04f438f2814f1ab4f74c6a0efc2eb071759fe009f9d181c1982a1b4ec9",
+    "defend-gaussian":
+        "101836d0a1b407a57b8098a0718dead9305db40a92e97d6399ddcb1c0f98903c",
+    "defend-dummy":
+        "4f95408d192cee5baef743176ae1acc2faa4246e2bb40bb43ad0d2f856ba85e4",
+}
+
+
+def _tree_sha256(root):
+    digest = hashlib.sha256()
+    for base, dirs, names in os.walk(root):
+        dirs.sort()
+        for name in sorted(names):
+            if name == "effective_config.json":
+                continue
+            path = os.path.join(base, name)
+            digest.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def test_golden_output_bytes(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GOLDEN_SPEC))
+    profile = tmp_path / "partial_profile.json"
+    profile.write_text(json.dumps({"gpu_bus_busy": {
+        "b_ar": 40.0, "b_vr": 35.0, "g": 50.0, "delta": 6.0, "sigma": 0.75}}))
+    out = {name: str(tmp_path / name) for name in GOLDEN_SHA256}
+    assert run_cli(["gen-corpus", str(spec), "--out", out["gen-corpus"]]) == 0
+    assert run_cli(["gen-corpus", str(spec), "--profile", str(profile),
+                    "--out", out["gen-corpus-partial-profile"]]) == 0
+    trace = os.path.join(out["gen-corpus"], "traces", "0002_ar_joins.csv")
+    assert run_cli(["count", "--trace", trace, "--out", out["count"]]) == 0
+    assert run_cli(["defend", "inject", "--trace", trace, "--strategy", "gaussian",
+                    "--sigma", "3", "--seed", "4", "--out", out["defend-gaussian"]]) == 0
+    assert run_cli(["defend", "inject", "--trace", trace, "--strategy", "dummy",
+                    "--rate", "0.5", "--seed", "4", "--out", out["defend-dummy"]]) == 0
+    assert {name: _tree_sha256(path) for name, path in out.items()} == GOLDEN_SHA256
+
+
+def _gen_small_corpus(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(small_corpus_spec()))
+    corp = str(tmp_path / "corp")
+    assert run_cli(["gen-corpus", str(spec), "--out", corp]) == 0
+    return os.path.join(corp, "manifest.jsonl")
+
+
+def _spec_with(edit):
+    spec = small_corpus_spec()
+    edit(spec)
+    return spec
+
+
+@pytest.mark.parametrize("name, spec, profile, field", [
+    ("no-label", _spec_with(lambda s: s["classes"][1].pop("label")), None, "'label'"),
+    ("bad-duration",
+     _spec_with(lambda s: s["classes"][0]["script"].update(duration_s="abc")),
+     None, "'duration_s'"),
+    ("bad-t-join", _spec_with(lambda s: s["classes"][0]["script"]["events"].append(
+        {"kind": "avatar_join", "t_join": "x"})), None, "'t_join'"),
+    ("negative-sigma", small_corpus_spec(),
+     {"gpu_bus_busy": {"b_ar": 1.0, "b_vr": 1.0, "g": 1.0, "delta": 1.0, "sigma": -1.0}},
+     "'sigma'"),
+])
+def test_malformed_inputs_exit_2_naming_file_and_field(tmp_path, capsys, name, spec,
+                                                       profile, field):
+    spec_path = tmp_path / f"{name}.json"
+    spec_path.write_text(json.dumps(spec))
+    argv = ["gen-corpus", str(spec_path), "--out", str(tmp_path / "out")]
+    bad_file = spec_path
+    if profile is not None:
+        bad_file = tmp_path / "profile.json"
+        bad_file.write_text(json.dumps(profile))
+        argv += ["--profile", str(bad_file)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad_file) in err and field in err, err
+
+
+def test_count_under_partial_profile_falls_back(tmp_path):
+    """Metrics absent from the profile take the simulator's fallback sigma in
+    both gen-corpus and count."""
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"gpu_bus_busy": {
+        "b_ar": 34.0, "b_vr": 30.0, "g": 55.0, "delta": 8.0, "sigma": 1.0}}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GOLDEN_SPEC))
+    corp = str(tmp_path / "corp")
+    assert run_cli(["gen-corpus", str(spec), "--profile", str(profile), "--out", corp]) == 0
+    out = str(tmp_path / "count")
+    assert run_cli(["count", "--trace", os.path.join(corp, "traces", "0002_ar_joins.csv"),
+                    "--profile", str(profile), "--out", out]) == 0
+    assert json.loads(open(os.path.join(out, "count.json")).read())["count"] == 2
+
+
+def test_negative_seed_reduces_modulo_2_64(tmp_path):
+    manifest = _gen_small_corpus(tmp_path)
+    reports = []
+    for seed in ("-1", str(2**64 - 1)):
+        out = str(tmp_path / f"cv{seed}")
+        assert run_cli(["cv", "--manifest", manifest, "--out", out, "--k", "2",
+                        "--trees", "5", "--seed", seed]) == 0
+        reports.append([open(os.path.join(out, name), "rb").read()
+                        for name in ("report.json", "report.csv")])
+    assert reports[0] == reports[1]
+
+
+def test_grid_unknown_key_names_file_entry_and_key(tmp_path, capsys):
+    manifest = _gen_small_corpus(tmp_path)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"n_trees": 5}, {"n_tree": 5}]))
+    assert run_cli(["grid", "--manifest", manifest, "--grid", str(grid), "--k", "2",
+                    "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert str(grid) in err and "entry 1" in err and "'n_tree'" in err, err
+
+
+def test_grid_entry_overrides_flags(tmp_path):
+    manifest = _gen_small_corpus(tmp_path)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"max_depth": 1}, {"max_depth": 3}]))
+    out = str(tmp_path / "g")
+    assert run_cli(["grid", "--manifest", manifest, "--grid", str(grid), "--k", "2",
+                    "--trees", "5", "--out", out]) == 0
+    assert json.loads(open(os.path.join(out, "best_params.json")).read()) in (
+        {"max_depth": 1}, {"max_depth": 3})
+    config = json.loads(open(os.path.join(out, "effective_config.json")).read())
+    assert config["trees"] == 5
+
+
+def _eval_model_file(tmp_path, **context):
+    from counterscope.features import build_stat_features, fit_normalizer
+    from counterscope.models import save_model, train_rf
+    from counterscope.traces import read_manifest
+
+    manifest = _gen_small_corpus(tmp_path)
+    corpus = read_manifest(manifest)
+    metrics = corpus.metrics[:3]
+    norm = fit_normalizer(corpus, metrics)
+    model = train_rf(build_stat_features(corpus, metrics, norm), corpus.labels(),
+                     n_trees=3)
+    path = str(tmp_path / "model.json")
+    kwargs = {"metrics": metrics, "layout": "stat4", "normalizer": norm}
+    kwargs.update(context)
+    save_model(model, path, **kwargs)
+    return manifest, path, corpus
+
+
+@pytest.mark.parametrize("context, field", [
+    ({"metrics": None}, "'metrics'"),
+    ({"layout": None}, "'layout'"),
+    ({"normalizer": None}, "'normalizer'"),
+    ({"layout": "stat2"}, "model width 12"),
+])
+def test_eval_refuses_to_coerce(tmp_path, capsys, context, field):
+    manifest, path, _ = _eval_model_file(tmp_path, **context)
+    assert run_cli(["eval", "--manifest", manifest, "--model-file", path,
+                    "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert path in err and field in err, err
+
+
+def test_eval_width_mismatch_on_wider_corpus(tmp_path, capsys):
+    """A 12-feature model whose metric list names all 30 corpus metrics would
+    give 120 columns; the old CLI truncated them to 12 and exited 0."""
+    from counterscope.features import fit_normalizer
+    from counterscope.models import load_model, save_model
+
+    manifest, path, corpus = _eval_model_file(tmp_path)
+    model, _ = load_model(path)
+    save_model(model, path, metrics=corpus.metrics, layout="stat4",
+               normalizer=fit_normalizer(corpus, corpus.metrics))
+    assert run_cli(["eval", "--manifest", manifest, "--model-file", path,
+                    "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "feature width 120 != model width 12" in err, err

@@ -15,7 +15,8 @@ from counterscope.defense import (
 )
 from counterscope.errors import DataError, InvalidStrategyError
 from counterscope.models import train_rf
-from counterscope.simulator import SceneScript, simulate
+from counterscope.simulator import MetricResponse, SceneScript, simulate
+from counterscope.traces import TraceSet
 
 NBLT = "non_base_level_textures"
 
@@ -25,7 +26,38 @@ def flat_trace(catalog, seconds=60, seed=0):
     return simulate(script, catalog).traces
 
 
+def reference_inject(trace, strategy, catalog, profile):
+    """inject_noise as a loop over metrics, each looked up in the profile."""
+    generic = MetricResponse(11.0, 10.0, 20.0, 4.0, 0.5)
+    matrix = trace.matrix.copy()
+    rng = np.random.default_rng(strategy.seed)
+    if isinstance(strategy, GaussianNoise):
+        noise = rng.standard_normal(matrix.shape)
+        for j, m in enumerate(trace.metrics):
+            matrix[:, j] += strategy.sigma * profile.get(m, generic).sigma * noise[:, j]
+    else:
+        arrivals = rng.poisson(strategy.rate_per_s, matrix.shape[0])
+        load = np.clip(arrivals * 0.02 * (strategy.size_s / strategy.depth_z) ** 2, 0.0, 1.0)
+        for j, m in enumerate(trace.metrics):
+            if m in catalog:
+                matrix[:, j] += catalog.get(m).sign * profile.get(m, generic).g * load
+    return matrix
+
+
 class TestInjectNoise:
+    @pytest.mark.parametrize("strategy", [GaussianNoise(2.5, seed=3),
+                                          DummyRender(0.7, seed=5),
+                                          DummyRender(2.0, 3.0, 1.5, seed=6)])
+    def test_matches_per_metric_loop(self, catalog, profile, strategy):
+        base = simulate(SceneScript(duration_s=30, seed=2), catalog).traces
+        trace = TraceSet(base.metrics + ["custom"],
+                         np.column_stack([base.matrix, np.arange(30.0)]))
+        partial = {NBLT: profile[NBLT], "custom": MetricResponse(1.0, 2.0, 3.0, 4.0, 0.25)}
+        for prof in (profile, partial):
+            out = inject_noise(trace, strategy, catalog, prof)
+            assert out.matrix.tobytes() == reference_inject(trace, strategy, catalog,
+                                                            prof).tobytes()
+
     def test_sigma_zero_identity(self, catalog):
         trace = flat_trace(catalog)
         out = inject_noise(trace, GaussianNoise(0.0), catalog)

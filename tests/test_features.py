@@ -5,13 +5,11 @@ import pytest
 
 from counterscope.errors import DataError, UnknownMetricError
 from counterscope.features import (
-    FeatureMatrix,
     NormalizationStats,
     build_sequences,
     build_stat_features,
     extract_window,
     fit_normalizer,
-    write_features_csv,
 )
 from counterscope.traces import CorpusItem, LabeledCorpus, TraceSet
 
@@ -162,13 +160,3 @@ class TestWindow:
     def test_out_of_range(self):
         with pytest.raises(DataError):
             extract_window(self.trace(40), 35, 10)
-
-
-class TestCsv:
-    def test_header_and_label_column(self, tmp_path):
-        fm = FeatureMatrix(np.array([[1.0, 2.0]]), ["m_a_mean", "m_a_std"], "stat2")
-        path = tmp_path / "features.csv"
-        write_features_csv(fm, ["classA"], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "m_a_mean,m_a_std,label"
-        assert lines[1].endswith(",classA")

@@ -8,7 +8,6 @@ from counterscope.selection import (
     accuracy_screen,
     correlation_prune,
     enforce_cap,
-    intersect_metrics,
 )
 from counterscope.stats import pearson
 from counterscope.traces import CorpusItem, LabeledCorpus, TraceSet
@@ -181,15 +180,3 @@ class TestEnforceCap:
 
     def test_empty(self):
         assert enforce_cap([], 30) == []
-
-
-class TestIntersect:
-    def test_preserves_first_order(self):
-        assert intersect_metrics(["a", "b", "c", "d"], ["d", "b"]) == ["b", "d"]
-
-    def test_identity(self):
-        ids = ["x", "y"]
-        assert intersect_metrics(ids, ids) == ids
-
-    def test_empty_intersection(self):
-        assert intersect_metrics(["a"], ["b"]) == []

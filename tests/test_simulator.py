@@ -9,7 +9,9 @@ from counterscope.simulator import (
     AvatarJoin,
     ClassSpec,
     CorpusSpec,
+    MetricResponse,
     ObjectSweep,
+    ResponseModel,
     SceneScript,
     StaticObject,
     avatar_staircase,
@@ -227,6 +229,83 @@ class TestValidation:
     def test_bad_scene_type(self):
         with pytest.raises(InvalidScriptError):
             SceneScript(scene_type="mr")
+
+
+class TestResponseModel:
+    def test_fallback_and_sign(self, catalog):
+        partial = {NBLT: MetricResponse(1.0, 2.0, 3.0, 4.0, 5.0)}
+        model = ResponseModel([NBLT, "prims_clipped", "custom"], catalog, partial)
+        assert model.b_vr[0] == 2.0 and model.sigma[0] == 5.0
+        # metrics the profile lacks share one fallback response
+        assert model.sigma[1] == model.sigma[2]
+        assert model.sign.tolist() == [1, -1, 0]
+
+    def test_script_noise_resolution(self, catalog):
+        ids = [NBLT, "gpu_bus_busy"]
+        prof = builtin_profile()
+        ar = SceneScript(scene_type="ar", noise_sigma={"gpu_bus_busy": 0.25})
+        model = ResponseModel(ids, catalog, prof, ar)
+        assert model.sigma.tolist() == [2.0 * prof[NBLT].sigma, 0.25]
+        assert ResponseModel(ids, catalog, prof, SceneScript(noise_sigma=3)).sigma.tolist() \
+            == [3.0, 3.0]
+        assert ResponseModel(ids, catalog, prof, SceneScript()).sigma.tolist() \
+            == [prof[m].sigma for m in ids]
+
+# The response model every metric shared before it became one set of arrays:
+# a loop over catalog metrics, each looked up in the profile on its own.
+GENERIC = MetricResponse(11.0, 10.0, 20.0, 4.0, 0.5)
+
+
+def reference_matrix(script, catalog, profile, pixels):
+    t = np.arange(script.duration_s, dtype=float)
+    joins = np.zeros(script.duration_s)
+    sessions = []
+    for ev in script.events:
+        if isinstance(ev, AvatarJoin):
+            joins[t >= ev.t_join] += 1.0
+        elif isinstance(ev, AppSession):
+            ramp = np.zeros(script.duration_s)
+            ramp[(t > ev.t_start) & (t < ev.t_end)] = 1.0
+            ramp[(t >= ev.t_start) & (t < ev.t_start + 1.0)] = 0.5
+            ramp[(t >= ev.t_end) & (t < ev.t_end + 1.0)] = 0.5
+            sessions.append((ev, ramp))
+    noise = np.random.default_rng(script.seed).standard_normal((script.duration_s,
+                                                                len(catalog)))
+    matrix = np.empty((script.duration_s, len(catalog)))
+    for j, desc in enumerate(catalog):
+        resp = profile.get(desc.id, GENERIC)
+        app_level = np.zeros(script.duration_s)
+        for ev, ramp in sessions:
+            gain = float(ev.intensity.get(desc.id, 0.0))
+            if gain:
+                app_level += gain * ramp
+        signal = resp.g * pixels + resp.delta * joins + resp.g * app_level
+        ns = script.noise_sigma
+        sigma = resp.sigma * (2.0 if script.scene_type == "ar" else 1.0)
+        if isinstance(ns, dict):
+            sigma = float(ns.get(desc.id, sigma))
+        elif ns is not None:
+            sigma = float(ns)
+        base = resp.b_ar if script.scene_type == "ar" else resp.b_vr
+        matrix[:, j] = base + desc.sign * signal + sigma * noise[:, j]
+    return matrix
+
+
+class TestAgainstPerMetricLoop:
+    @pytest.mark.parametrize("scene_type", ["vr", "ar"])
+    @pytest.mark.parametrize("noise", [None, 0.0, 1.5, {NBLT: 0.0, "prims_clipped": 3.0}])
+    def test_bit_identical(self, catalog, profile, scene_type, noise):
+        events = (AvatarJoin(4.0), AvatarJoin(11.5), StaticObject(3.0, 2.0, 2.0, 9.0),
+                  ObjectSweep(2.0, 1.5, 1.0, 10.0, -10.0, 1.0),
+                  AppSession("a", 2.0, 15.0, {NBLT: 0.4, "prims_clipped": 0.9}),
+                  AppSession("b", 6.0, 17.5, {NBLT: 1.0, "custom": 0.5}))
+        script = SceneScript(scene_type=scene_type, duration_s=20, seed=5,
+                             events=events, noise_sigma=noise)
+        partial = {NBLT: profile[NBLT], "prims_clipped": profile["prims_clipped"]}
+        for prof in (profile, partial):
+            out = simulate(script, catalog, prof)
+            want = reference_matrix(script, catalog, prof, out.ground_truth_pixels)
+            assert out.traces.matrix.tobytes() == want.tobytes()
 
 
 class TestSerialization:

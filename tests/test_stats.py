@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from counterscope.stats import (
-    DegenerateXError,
-    LengthMismatchError,
-    TooShortSeriesError,
-    linreg,
-    pearson,
-    summarize,
-    zscore_fit_apply,
-)
+from counterscope.errors import DegenerateXError, LengthMismatchError, TooShortSeriesError
+from counterscope.stats import linreg, pearson, summarize
 
 
 def oracle_pearson(x, y):
@@ -100,26 +93,6 @@ class TestPearson:
         y = rng.standard_normal(20)
         expected = math.copysign(1.0, a) * pearson(x, y)
         assert pearson(a * x + b, y) == pytest.approx(expected, abs=1e-10)
-
-
-class TestZscore:
-    def test_constant_train(self):
-        out, mu, sigma = zscore_fit_apply([5, 5, 5], [5, 5])
-        assert out.tolist() == [0.0, 0.0]
-        assert (mu, sigma) == (5.0, 0.0)
-
-    def test_self_normalization(self):
-        out, _, _ = zscore_fit_apply([1, 2, 3], [1, 2, 3])
-        assert out.mean() == pytest.approx(0.0, abs=1e-12)
-        assert out.std() == pytest.approx(1.0, abs=1e-12)
-
-    def test_midpoint(self):
-        out, _, _ = zscore_fit_apply([0, 10], [5])
-        assert out.tolist() == [0.0]
-
-    def test_empty_train(self):
-        with pytest.raises(TooShortSeriesError):
-            zscore_fit_apply([], [1.0])
 
 
 class TestLinreg:

@@ -105,6 +105,14 @@ class TestCountParticipants:
         assert sorted(per.values()) == [1, 1, 2, 2]
         assert count == 1
 
+    def test_default_thresholds_fall_back_for_unprofiled_metrics(self, catalog, profile):
+        partial = {"gpu_bus_busy": profile["gpu_bus_busy"]}
+        jumps = default_min_jumps(partial, metrics=["gpu_bus_busy", "texture_l2_miss"])
+        assert jumps["gpu_bus_busy"] == 4.0 * profile["gpu_bus_busy"].sigma
+        assert jumps["texture_l2_miss"] == 4.0 * 0.5  # the simulator's fallback sigma
+        out = avatar_staircase(2, 5, catalog, noise_sigma=0.0)
+        assert count_participants(out.traces, catalog)[0] == 2
+
     def test_no_known_metrics(self, catalog):
         trace = TraceSet(["mystery_counter"], np.zeros((20, 1)))
         with pytest.raises(NoKnownMetricsError):

@@ -44,12 +44,6 @@ class TestTraceSet:
         with pytest.raises(DataError):
             TraceSet(["m"], np.zeros((0, 1)))
 
-    def test_column_view(self):
-        t = make_trace([[1, 2], [3, 4]], t0=5)
-        col = t.column("m_b")
-        assert col.samples.tolist() == [2.0, 4.0]
-        assert col.t0 == 5
-
     def test_select_reorders(self):
         t = make_trace([[1, 2], [3, 4]])
         sub = t.select(["m_b", "m_a"])
