@@ -59,7 +59,13 @@ from .simulator import (
     simulate,
 )
 from .stats import linreg, pearson
-from .stepcount import default_min_jumps, detect_steps
+from .stepcount import (
+    default_min_jumps,
+    detect_steps,
+    known_metrics,
+    min_jump_for,
+    vote_participants,
+)
 from .traces import read_manifest, read_wide_csv, write_manifest, write_wide_csv
 
 SEED_ENV_VAR = "COUNTERSCOPE_SEED"
@@ -391,14 +397,10 @@ def cmd_count(cfg: RunConfig) -> int:
     min_jump = cfg.get("min_jump", None)
     jumps = (float(min_jump) if min_jump is not None
              else default_min_jumps(cfg.profile(), metrics=trace.metrics))
-    from .stepcount import count_participants
-
-    count, per_metric = count_participants(trace, catalog, jumps, window, gap)
-    events = {}
-    for m in trace.metrics:
-        if m in catalog:
-            threshold = jumps if isinstance(jumps, float) else jumps[m]
-            events[m] = detect_steps(trace.values(m), threshold, window, gap)
+    # one detection per metric feeds both the vote and steps.csv
+    events = {m: detect_steps(trace.values(m), min_jump_for(jumps, m), window, gap)
+              for m in known_metrics(trace, catalog)}
+    count, per_metric = vote_participants(events, catalog)
     from .stepcount import steps_to_csv
 
     steps_to_csv(events, os.path.join(out, "steps.csv"))

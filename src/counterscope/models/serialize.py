@@ -58,7 +58,7 @@ def load_model(path):
     """Returns (model, context) where context holds metrics/layout/normalizer."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != FORMAT_NAME:
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise SchemaError(f"{path}: not a {FORMAT_NAME} file")
     if payload.get("version") != FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported version {payload.get('version')}")
@@ -66,7 +66,17 @@ def load_model(path):
     cls = _KINDS.get(kind)
     if cls is None:
         raise SchemaError(f"{path}: unknown model kind {kind!r}")
-    model = cls.from_dict(payload["model"])
+    body = payload.get("model")
+    if not isinstance(body, dict):
+        raise SchemaError(f"{path}: field 'model' is missing or not an object")
+    try:
+        model = cls.from_dict(body)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: in 'model': {exc}") from None
+    except KeyError as exc:
+        raise SchemaError(f"{path}: in 'model': field {exc} is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: in 'model': malformed {kind} body: {exc}") from None
     context = {
         "kind": kind,
         "metrics": payload.get("metrics"),

@@ -85,12 +85,32 @@ def default_min_jumps(profile: dict[str, MetricResponse] | None = None,
     return dict(zip(model.metrics, (factor * model.sigma).tolist()))
 
 
-def _resolve_min_jump(min_jump, metric: str) -> float:
+def min_jump_for(min_jump, metric: str) -> float:
+    """The threshold for `metric` from a per-metric dict or a global float."""
     if isinstance(min_jump, dict):
         if metric not in min_jump:
             raise DataError(f"no min_jump for metric {metric!r}")
         return float(min_jump[metric])
     return float(min_jump)
+
+
+def known_metrics(trace: TraceSet, catalog: MetricCatalog) -> list[str]:
+    """The trace's metrics that the catalog knows, in trace order."""
+    known = [m for m in trace.metrics if m in catalog]
+    if not known:
+        raise NoKnownMetricsError("trace shares no metrics with the catalog")
+    return known
+
+
+def vote_participants(events: dict[str, list[StepEvent]], catalog: MetricCatalog):
+    """(majority count, per-metric counts) from each metric's step events."""
+    per_metric = {m: sum(1 for ev in evs if ev.sign == catalog.get(m).sign)
+                  for m, evs in events.items()}
+    votes: dict[int, int] = {}
+    for count in per_metric.values():
+        votes[count] = votes.get(count, 0) + 1
+    best = min(votes, key=lambda cnt: (-votes[cnt], cnt))  # majority; ties -> smaller
+    return best, per_metric
 
 
 def count_participants(trace: TraceSet, catalog: MetricCatalog,
@@ -102,22 +122,12 @@ def count_participants(trace: TraceSet, catalog: MetricCatalog,
     4-sigma thresholds of the built-in response profile (fallback sigma for
     metrics it lacks).
     """
-    known = [m for m in trace.metrics if m in catalog]
-    if not known:
-        raise NoKnownMetricsError("trace shares no metrics with the catalog")
+    known = known_metrics(trace, catalog)
     if min_jump is None:
         min_jump = default_min_jumps(metrics=known)
-    per_metric: dict[str, int] = {}
-    for m in known:
-        events = detect_steps(trace.values(m), _resolve_min_jump(min_jump, m),
-                              window_w, min_gap)
-        want = catalog.get(m).sign
-        per_metric[m] = sum(1 for ev in events if ev.sign == want)
-    votes: dict[int, int] = {}
-    for count in per_metric.values():
-        votes[count] = votes.get(count, 0) + 1
-    best = min(votes, key=lambda cnt: (-votes[cnt], cnt))  # majority; ties -> smaller
-    return best, per_metric
+    events = {m: detect_steps(trace.values(m), min_jump_for(min_jump, m), window_w, min_gap)
+              for m in known}
+    return vote_participants(events, catalog)
 
 
 def find_anchor(trace: TraceSet, metric: str, min_jump: float,

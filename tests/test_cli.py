@@ -397,6 +397,47 @@ def test_golden_output_bytes(tmp_path):
     assert {name: _tree_sha256(path) for name, path in out.items()} == GOLDEN_SHA256
 
 
+# sha256 of the model-path outputs on the small test corpus, recorded before
+# the forest moved to flat arrays, so that its trees, probabilities and
+# reports stay byte-identical.
+GOLDEN_MODEL_SHA256 = {
+    "train/model.json":
+        "3d1d8172fb9472f465c2d6f6882e79ed68e95cf7e8ec0126f56ca04ea305b129",
+    "eval/report.json":
+        "9a749b054273099a715736ba9cda0e51659fb174103748d62c7f151cb82e649e",
+    "cv/report.json":
+        "5fad779bedf51a1e4f5c16ac261c6398eb63f7247f57ffd8ec3308c6c256e1e8",
+    "cv/report.csv":
+        "02a0999ccd081ac8d20518518bdbe6fea2ad0a822a96be752e84bc053d7406bd",
+    "lopo/report.json":
+        "68a462020fda19adefffbb443161a4072be8bd025054023be71818ea7b8f4888",
+    "lopo/report.csv":
+        "3d666cd6ec03fecc41880f85f85c83f22cde6a108f08258dddce0bc5afe7ebd3",
+    "screen/screened_metrics.json":
+        "1b0331e7928dc88dee84089749b3d8bf0478752e57e5020a918e741b5879a695",
+}
+
+
+def test_golden_model_output_bytes(tmp_path):
+    manifest = _gen_small_corpus(tmp_path)
+    out = {name: str(tmp_path / name) for name in ("train", "eval", "cv", "lopo", "screen")}
+    assert run_cli(["train", "--manifest", manifest, "--out", out["train"],
+                    "--trees", "20", "--seed", "9"]) == 0
+    assert run_cli(["eval", "--manifest", manifest, "--model-file",
+                    os.path.join(out["train"], "model.json"), "--out", out["eval"]]) == 0
+    assert run_cli(["cv", "--manifest", manifest, "--out", out["cv"], "--k", "2",
+                    "--trees", "10", "--seed", "3"]) == 0
+    assert run_cli(["lopo", "--manifest", manifest, "--out", out["lopo"],
+                    "--trees", "10", "--seed", "3"]) == 0
+    assert run_cli(["screen", "--manifest", manifest, "--out", out["screen"],
+                    "--trees", "10", "--seed", "0"]) == 0
+    digests = {}
+    for name in GOLDEN_MODEL_SHA256:
+        with open(tmp_path / name, "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == GOLDEN_MODEL_SHA256
+
+
 def _gen_small_corpus(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(small_corpus_spec()))
@@ -534,3 +575,62 @@ def test_eval_width_mismatch_on_wider_corpus(tmp_path, capsys):
                     "--out", str(tmp_path / "ev")]) == 2
     err = capsys.readouterr().err
     assert path in err and "feature width 120 != model width 12" in err, err
+
+
+def _drop(key):
+    return lambda body: body.pop(key)
+
+
+def _first_leaf(node):
+    while "dist" not in node:
+        node = node["left"]
+    return node
+
+
+@pytest.mark.parametrize("name, corrupt, field", [
+    ("no-trees", _drop("trees"), "'trees'"),
+    ("trees-not-list", lambda body: body.update(trees={"0": body["trees"][0]}), "'trees'"),
+    ("n-trees-mismatch", lambda body: body.update(n_trees=body["n_trees"] + 1), "'n_trees'"),
+    ("node-without-keys", lambda body: body["trees"][1].update(left={"feature": 0}),
+     "'trees[1].left'"),
+    ("split-without-threshold", lambda body: body["trees"][0].pop("threshold"),
+     "'trees[0]'"),
+    ("short-dist", lambda body: _first_leaf(body["trees"][2])["dist"].pop(), ".dist'"),
+    ("long-dist", lambda body: _first_leaf(body["trees"][0])["dist"].append(0.0), ".dist'"),
+    ("feature-too-large", lambda body: body["trees"][0].update(feature=body["n_features"]),
+     "'trees[0].feature'"),
+    ("feature-negative", lambda body: body["trees"][0].update(feature=-1),
+     "'trees[0].feature'"),
+])
+def test_malformed_rf_model_body_exits_2(tmp_path, capsys, name, corrupt, field):
+    """eval refuses a corrupted rf model.json with exit 2, naming the file
+    and the field."""
+    manifest = _gen_small_corpus(tmp_path)
+    assert run_cli(["train", "--manifest", manifest, "--out", str(tmp_path / "m"),
+                    "--trees", "3", "--seed", "1"]) == 0
+    path = tmp_path / "m" / "model.json"
+    payload = json.loads(path.read_text())
+    assert "feature" in payload["model"]["trees"][0]  # the root splits
+    corrupt(payload["model"])
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(["eval", "--manifest", manifest, "--model-file", str(path),
+                    "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err, err
+
+
+def test_model_body_missing_key_names_file_and_field(tmp_path, capsys):
+    """A non-rf body lacking a key also exits 2 naming the file and the key."""
+    manifest = _gen_small_corpus(tmp_path)
+    assert run_cli(["train", "--manifest", manifest, "--out", str(tmp_path / "m"),
+                    "--model", "svm"]) == 0
+    path = tmp_path / "m" / "model.json"
+    payload = json.loads(path.read_text())
+    del payload["model"]["weights"]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(["eval", "--manifest", manifest, "--model-file", str(path),
+                    "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "'weights'" in err, err

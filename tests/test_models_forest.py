@@ -1,11 +1,15 @@
 import json
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from counterscope.errors import DegenerateInputError
 from counterscope.models import RandomForestModel, train_rf
 from counterscope.models.serialize import load_model, save_model
+from forest_reference import reference_proba, train_reference
 
 
 def separable_1d(n_per=30, seed=0):
@@ -50,13 +54,18 @@ def test_different_seed_changes_forest():
     assert json.dumps(a.to_dict()) != json.dumps(b.to_dict())
 
 
-def test_parallel_equals_serial():
+def test_trees_depend_only_on_seed_and_index():
+    """Same seed twice gives equal to_dict() JSON, and growing the trees
+    together couples none of them: a smaller forest is a prefix of a larger
+    one."""
     rng = np.random.default_rng(3)
     X = rng.standard_normal((100, 8))
     y = [f"c{i % 4}" for i in range(100)]
-    serial = train_rf(X, y, n_trees=24, seed=9, n_workers=1)
-    threaded = train_rf(X, y, n_trees=24, seed=9, n_workers=4)
-    assert json.dumps(serial.to_dict()) == json.dumps(threaded.to_dict())
+    first = train_rf(X, y, n_trees=24, seed=9)
+    again = train_rf(X, y, n_trees=24, seed=9)
+    assert json.dumps(first.to_dict()) == json.dumps(again.to_dict())
+    fewer = train_rf(X, y, n_trees=7, seed=9)
+    assert [t.to_dict() for t in fewer.trees] == [t.to_dict() for t in first.trees[:7]]
 
 
 def test_monotone_transform_invariance():
@@ -76,16 +85,12 @@ def test_leaves_store_distributions():
     X, y = separable_1d(n_per=10)
     model = train_rf(X, y, n_trees=3, seed=0)
 
-    def walk(node):
-        if node.is_leaf:
-            assert node.dist.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (node.dist >= 0).all()
-        else:
-            walk(node.left)
-            walk(node.right)
-
     for tree in model.trees:
-        walk(tree)
+        leaves = tree.feature < 0
+        assert (tree.left[leaves] == -1).all() and (tree.right[leaves] == -1).all()
+        for dist in tree.value[leaves]:
+            assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (dist >= 0).all()
 
 
 def test_max_depth_respected():
@@ -94,10 +99,10 @@ def test_max_depth_respected():
     y = [f"c{i % 2}" for i in range(100)]
     model = train_rf(X, y, n_trees=5, max_depth=2, seed=0)
 
-    def depth(node):
-        if node.is_leaf:
+    def depth(tree, node=0):
+        if tree.feature[node] < 0:
             return 0
-        return 1 + max(depth(node.left), depth(node.right))
+        return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
 
     assert all(depth(t) <= 2 for t in model.trees)
 
@@ -132,3 +137,53 @@ def test_serialization_round_trip(tmp_path):
     assert loaded.predict(q) == model.predict(q)
     assert context["metrics"] == ["m_a"]
     assert context["layout"] == "stat4"
+
+
+# The recursive forest the lockstep one replaced, grown the old way; the two
+# must agree bit for bit on trees and on probabilities.
+@st.composite
+def forest_problems(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 8))
+    levels = draw(st.sampled_from([(0.0, 1.0), (-1.5, 0.0, 0.25, 2.0), tuple(range(-9, 10))]))
+    X = draw(hnp.arrays(float, (n, d), elements=st.sampled_from(levels)))
+    if d >= 2 and draw(st.booleans()):
+        X[:, 1] = X[:, 0]  # duplicate column
+    if d >= 3 and draw(st.booleans()):
+        X[:, 2] = 4.0  # constant column
+    n_classes = draw(st.integers(2, 8))
+    codes = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    codes[:2] = [0, 1]
+    params = {
+        "n_trees": draw(st.integers(1, 8)),
+        "max_depth": draw(st.sampled_from([None, 1, 2, 4])),
+        "min_samples_split": draw(st.sampled_from([1, 2, 3, 7])),
+        "feature_subsample": draw(st.sampled_from([None, 1, 2, d])),
+        "seed": draw(st.integers(0, 2**63)),
+    }
+    queries = np.vstack([X, draw(hnp.arrays(float, (5, d), elements=st.floats(-10, 10))),
+                         np.full((1, d), np.nan)])
+    return X, [f"k{c}" for c in codes], params, queries
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(forest_problems())
+def test_matches_recursive_reference(problem):
+    X, y, params, queries = problem
+    model = train_rf(X, y, **params)
+    reference = train_reference(X, y, **params)
+    assert json.dumps([t.to_dict() for t in model.trees]) == json.dumps(reference)
+    want = reference_proba(reference, queries, len(model.classes)).tobytes()
+    assert model.predict_proba(queries).tobytes() == want
+    loaded = RandomForestModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert loaded.predict_proba(queries).tobytes() == want
+
+
+def test_matches_recursive_reference_on_wide_many_class_matrix():
+    rng = np.random.default_rng(11)
+    X = np.round(rng.standard_normal((150, 40)), 1)
+    y = [f"c{i % 12}" for i in range(150)]
+    model = train_rf(X, y, n_trees=6, seed=4)
+    reference = train_reference(X, y, n_trees=6, seed=4)
+    assert json.dumps([t.to_dict() for t in model.trees]) == json.dumps(reference)
+    assert model.predict_proba(X).tobytes() == reference_proba(reference, X, 12).tobytes()
