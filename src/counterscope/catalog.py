@@ -66,9 +66,6 @@ class MetricDescriptor:
         """+1 for increases_with_load, -1 for decreases_with_load."""
         return 1 if self.direction == INCREASES else -1
 
-    def valid_range(self) -> tuple[float, float] | None:
-        return (0.0, 100.0) if self.unit == "percent" else None
-
 
 @dataclass(frozen=True)
 class MetricCatalog:

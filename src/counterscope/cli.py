@@ -33,11 +33,13 @@ from .errors import DataError, DegenerateInputError
 from .features import (
     LAYOUT_SEQUENCE,
     LAYOUT_STAT4,
+    LAYOUTS,
     build_sequences,
     build_stat_features,
     fit_normalizer,
 )
 from .models import (
+    FAMILIES,
     evaluate,
     grid_search,
     kfold_cv,
@@ -96,6 +98,23 @@ def _default_seed() -> int:
     return 0
 
 
+def _typed(value, kind: type, source: str, nullable: bool = False, minimum=None):
+    """`value` as a `kind` (int, float or str): a bool is never a number, an
+    int slot takes only ints, a float slot an int or a finite float (returned
+    as a float), None passes only where `nullable`, and a number below
+    `minimum` is refused. DataError names `source`."""
+    if value is None and nullable:
+        return None
+    number = (isinstance(value, int if kind is int else (int, float))
+              and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
+    if not (isinstance(value, str) if kind is str else number):
+        raise DataError(f"{source} must be {'a finite number' if kind is float else kind.__name__}"
+                        f"{' or null' if nullable else ''}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DataError(f"{source} must be >= {minimum}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 class RunConfig:
     """Resolved configuration: flag > config-file key > built-in default."""
 
@@ -109,16 +128,21 @@ class RunConfig:
                 raise DataError(f"{args.config}: config file must be a JSON object")
         self.resolved = {}
 
-    def get(self, key: str, default=None):
-        value = getattr(self.args, key, None)
+    def get(self, key: str, default=None, kind: type | None = None, minimum=None):
+        """The flag, else the config file's value, else `default`, read as
+        `kind` (by default the type of `default`) through _typed."""
+        value, source = getattr(self.args, key, None), "--" + key.replace("_", "-")
         if value is None:
             value = self.file_values.get(key, default)
+            source = f"{self.args.config}: field {key!r}"
+        if value is not default:  # a default needs no check
+            value = _typed(value, kind or type(default), source, default is None, minimum)
         self.resolved[key] = value
         return value
 
     def seed(self) -> int:
         """The seed reduced modulo 2**64, as derive_seed does: -1 is 2**64 - 1."""
-        return int(self.get("seed", _default_seed())) % 2**64
+        return self.get("seed", _default_seed()) % 2**64
 
     def out_dir(self) -> str:
         out = getattr(self.args, "out")
@@ -127,11 +151,11 @@ class RunConfig:
         return out
 
     def catalog(self):
-        path = self.get("catalog", None)
+        path = self.get("catalog", None, str)
         return load_catalog(path) if path else builtin_catalog()
 
     def profile(self):
-        path = self.get("profile", None)
+        path = self.get("profile", None, str)
         return load_profile(path) if path else builtin_profile()
 
     def write_effective(self, out_dir: str, command: str) -> None:
@@ -152,43 +176,27 @@ def _write_json(path, payload) -> None:
 # ---------------------------------------------------------------------------
 # trainer construction shared by train/cv/lopo/grid/screen
 
-# Trainers are looked up by name in this module's globals when they run, so
-# a wrapper installed at counterscope.cli.train_rf (say) sees every fit.
-_TRAINERS = {"rf": "train_rf", "svm": "train_linear_svm", "knn": "train_knn",
-             "mlp": "train_mlp"}
-
-
 def _trainer_factory(model_name: str, cfg: RunConfig, seed: int,
                      overrides: dict | None = None):
-    """(trainer, params): flags, then config values, then defaults, with
-    `overrides` (one grid entry) replacing params of the same name."""
-    if model_name == "rf":
-        params = {"n_trees": int(cfg.get("trees", 100)),
-                  "max_depth": cfg.get("max_depth", None),
-                  "seed": seed}
-        if params["max_depth"] is not None:
-            params["max_depth"] = int(params["max_depth"])
-    elif model_name == "svm":
-        params = {"lr": float(cfg.get("lr", 0.01)),
-                  "epochs": int(cfg.get("epochs", 50)),
-                  "reg_lambda": float(cfg.get("reg_lambda", 1e-3)),
-                  "seed": seed}
-    elif model_name == "knn":
-        params = {"k": int(cfg.get("neighbors", 5))}
-    elif model_name == "mlp":
-        params = {"hidden_size": int(cfg.get("hidden", 32)),
-                  "learning_rate": float(cfg.get("lr", 0.05)),
-                  "epochs": int(cfg.get("epochs", 100)),
-                  "batch_size": int(cfg.get("batch", 16)),
-                  "seed": seed}
-    else:
+    """(trainer, params) of a FAMILIES entry: flags, then config values, then
+    defaults, with `overrides` (one grid entry) replacing params of the same
+    name."""
+    if model_name not in FAMILIES:
         raise DataError(f"unknown model {model_name!r}")
-    for key in overrides or {}:
-        if key not in params:
+    family = FAMILIES[model_name]
+    params = {p.arg: seed if p.key == "seed" else cfg.get(p.key, p.default, p.kind, p.minimum)
+              for p in family.params}
+    declared = {p.arg: p for p in family.params}
+    for key, value in (overrides or {}).items():
+        if key not in declared:
             raise DataError(f"unknown {model_name} parameter {key!r}; "
                             f"known: {', '.join(params)}")
-    params.update(overrides or {})
-    return lambda X, y: globals()[_TRAINERS[model_name]](X, y, **params), params
+        p = declared[key]
+        params[key] = _typed(value, p.kind, repr(key), p.default is None, p.minimum)
+    # Looked up by name in this module's globals when it runs, so a wrapper
+    # installed at counterscope.cli.train_rf (say) sees every fit.
+    name = family.trainer.__name__
+    return lambda X, y: globals()[name](X, y, **params), params
 
 
 def _build_features(corpus, metrics, norm, layout):
@@ -238,11 +246,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_gen_corpus(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     spec = load_corpus_spec(cfg.args.corpus_spec)
-    seed_flag = cfg.get("seed", None)
+    seed_flag = cfg.get("seed", None, int)
     if seed_flag is not None:
         import dataclasses
 
-        spec = dataclasses.replace(spec, seed=int(seed_flag))
+        spec = dataclasses.replace(spec, seed=seed_flag)
     corpus = generate_corpus(spec, cfg.catalog(), cfg.profile())
     manifest = write_manifest(corpus, out)
     cfg.write_effective(out, "gen-corpus")
@@ -254,7 +262,7 @@ def cmd_prune(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     corpus = read_manifest(cfg.args.manifest)
     catalog = cfg.catalog()
-    threshold = float(cfg.get("threshold", 0.90))
+    threshold = cfg.get("threshold", 0.90)
     report = correlation_prune(corpus, catalog.ids(), threshold)
     report.to_json(os.path.join(out, "prune_report.json"))
     cfg.write_effective(out, "prune")
@@ -270,7 +278,7 @@ def cmd_screen(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     corpus = read_manifest(cfg.args.manifest)
     seed = cfg.seed()
-    threshold = float(cfg.get("threshold_acc", 0.60))
+    threshold = cfg.get("threshold_acc", 0.60)
     trainer, _ = _trainer_factory("rf", cfg, seed)
     passing = accuracy_screen(corpus, trainer, threshold, seed)
     _write_json(os.path.join(out, "screened_metrics.json"),
@@ -325,7 +333,7 @@ def cmd_cv(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     corpus = read_manifest(cfg.args.manifest)
     seed = cfg.seed()
-    k = int(cfg.get("k", 5))
+    k = cfg.get("k", 5)
     layout = cfg.get("layout", LAYOUT_STAT4)
     metrics = corpus.metrics
     norm = fit_normalizer(corpus, metrics)
@@ -379,7 +387,7 @@ def cmd_grid(cfg: RunConfig) -> int:
     best_params, report = grid_search(
         features, corpus.labels(),
         lambda entry: _trainer_factory(model_name, cfg, seed, entry)[0], grid,
-        k=int(cfg.get("k", 5)), seed=seed)
+        k=cfg.get("k", 5), seed=seed)
     _write_json(os.path.join(out, "best_params.json"), best_params)
     _report_outputs(report, out)
     cfg.write_effective(out, "grid")
@@ -392,10 +400,10 @@ def cmd_count(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     trace = read_wide_csv(cfg.args.trace)
     catalog = cfg.catalog()
-    window = int(cfg.get("window", 3))
-    gap = int(cfg.get("gap", 3))
-    min_jump = cfg.get("min_jump", None)
-    jumps = (float(min_jump) if min_jump is not None
+    window = cfg.get("window", 3)
+    gap = cfg.get("gap", 3)
+    min_jump = cfg.get("min_jump", None, float)
+    jumps = (min_jump if min_jump is not None
              else default_min_jumps(cfg.profile(), metrics=trace.metrics))
     # one detection per metric feeds both the vote and steps.csv
     events = {m: detect_steps(trace.values(m), min_jump_for(jumps, m), window, gap)
@@ -439,11 +447,10 @@ def cmd_correlate(cfg: RunConfig) -> int:
 def _strategy_from_cfg(cfg: RunConfig, seed: int):
     kind = cfg.get("strategy", "gaussian")
     if kind == "gaussian":
-        return GaussianNoise(float(cfg.get("sigma", 1.0)), seed=seed)
+        return GaussianNoise(cfg.get("sigma", 1.0), seed=seed)
     if kind == "dummy":
-        return DummyRender(float(cfg.get("rate", 1.0)),
-                           size_s=float(cfg.get("size", 2.0)),
-                           depth_z=float(cfg.get("depth", 2.0)), seed=seed)
+        return DummyRender(cfg.get("rate", 1.0), size_s=cfg.get("size", 2.0),
+                           depth_z=cfg.get("depth", 2.0), seed=seed)
     raise DataError(f"unknown strategy {kind!r}")
 
 
@@ -463,10 +470,10 @@ def cmd_defend_detect(cfg: RunConfig) -> int:
     log = read_access_log(cfg.args.log)
     verdict = detect_profiler_access(
         log,
-        min_events=int(cfg.get("min_events", 20)),
-        cv_threshold=float(cfg.get("cv_threshold", 0.1)),
-        expected_period_s=float(cfg.get("expected_period", 1.0)),
-        period_tolerance=float(cfg.get("period_tolerance", 0.25)))
+        min_events=cfg.get("min_events", 20),
+        cv_threshold=cfg.get("cv_threshold", 0.1),
+        expected_period_s=cfg.get("expected_period", 1.0),
+        period_tolerance=cfg.get("period_tolerance", 0.25))
     _write_json(os.path.join(out, "verdict.json"), verdict.to_dict())
     cfg.write_effective(out, "defend-detect")
     print(f"flagged={verdict.flagged} cv={verdict.cv:.4f} n={verdict.n_events}"
@@ -479,7 +486,10 @@ def cmd_defend_curve(cfg: RunConfig) -> int:
     corpus = read_manifest(cfg.args.manifest)
     seed = cfg.seed()
     raw_levels = cfg.get("levels", "0,2,5,10,25")
-    sigmas = [float(s) for s in str(raw_levels).split(",")]
+    try:
+        sigmas = [float(s) for s in raw_levels.split(",")]
+    except ValueError:
+        raise DataError(f"levels must be comma-separated numbers, got {raw_levels!r}") from None
     from .seeding import derive_seed
 
     strategies = [GaussianNoise(s, seed=derive_seed(seed, i))
@@ -515,20 +525,18 @@ def _add_common(sub, out_required: bool = True):
     sub.add_argument("--seed", type=int, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
 
 
-def _add_model_flags(sub):
-    sub.add_argument("--model", choices=["rf", "svm", "knn", "mlp"],
-                     help="classifier family (default rf)")
-    sub.add_argument("--layout", choices=["stat4", "stat2", "sequence"],
-                     help="feature layout (default stat4)")
-    sub.add_argument("--trees", type=int, help="rf: number of trees (default 100)")
-    sub.add_argument("--max-depth", dest="max_depth", type=int, help="rf: depth cap")
-    sub.add_argument("--neighbors", type=int, help="knn: k (default 5)")
-    sub.add_argument("--lr", type=float, help="svm/mlp: learning rate")
-    sub.add_argument("--epochs", type=int, help="svm/mlp: training epochs")
-    sub.add_argument("--reg-lambda", dest="reg_lambda", type=float,
-                     help="svm: L2 regularization")
-    sub.add_argument("--hidden", type=int, help="mlp: hidden layer width")
-    sub.add_argument("--batch", type=int, help="mlp: batch size")
+def _add_model_flags(sub, keys=None):
+    """--model, --layout and a flag per FAMILIES parameter key (one --lr and
+    one --epochs for svm and mlp); `keys` keeps only the flags it names."""
+    flags = {"model": {"choices": list(FAMILIES), "help": "classifier family (default rf)"},
+             "layout": {"choices": list(LAYOUTS), "help": "feature layout (default stat4)"}}
+    for kind, family in FAMILIES.items():
+        for p in family.params:
+            flag = flags.setdefault(p.key, {"type": p.kind, "help": ""})
+            flag["help"] += f"{kind}: {p.arg} (default {p.default}, min {p.minimum}) "
+    for key, flag in flags.items():
+        if key != "seed" and (keys is None or key in keys):  # _add_common adds --seed
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
 
 
 def build_parser() -> _Parser:
@@ -556,7 +564,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--threshold-acc", dest="threshold_acc", type=float,
                    help="accuracy floor (default 0.60)")
-    p.add_argument("--trees", type=int, help="screening rf: number of trees")
+    _add_model_flags(p, keys={"trees"})
     _add_common(p)
     p.set_defaults(func=cmd_screen)
 
@@ -635,8 +643,7 @@ def build_parser() -> _Parser:
     d = defend.add_parser("curve", help="accuracy degradation curve under injected noise")
     d.add_argument("--manifest", required=True)
     d.add_argument("--levels", help="comma-separated sigma multipliers (default 0,2,5,10,25)")
-    d.add_argument("--model", choices=["rf", "svm", "knn", "mlp"])
-    d.add_argument("--trees", type=int)
+    _add_model_flags(d, keys={"model", "trees"})
     _add_common(d)
     d.set_defaults(func=cmd_defend_curve)
 
@@ -649,10 +656,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(args)
         return args.func(cfg)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - report and map to internal-error code

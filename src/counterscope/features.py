@@ -10,17 +10,19 @@ mean in normalized space) and flattened time-major.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UnknownMetricError
+from .errors import DataError, SchemaError, UnknownMetricError
 from .stats import summarize
 from .traces import LabeledCorpus, TraceSet
 
 LAYOUT_STAT4 = "stat4"
 LAYOUT_STAT2 = "stat2"
 LAYOUT_SEQUENCE = "sequence"
+LAYOUTS = (LAYOUT_STAT4, LAYOUT_STAT2, LAYOUT_SEQUENCE)
 
 _STAT_SUFFIXES = {
     LAYOUT_STAT4: ("mean", "std", "max", "min"),
@@ -57,7 +59,18 @@ class NormalizationStats:
         return {m: [mu, sigma] for m, (mu, sigma) in self.stats.items()}
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "NormalizationStats":
+    def from_dict(cls, obj: dict, metrics=()) -> "NormalizationStats":
+        """Stats from their `to_dict()` form, a model file's 'normalizer'.
+        SchemaError names a malformed entry, or one of `metrics` it lacks."""
+        if not isinstance(obj, dict):
+            raise SchemaError(f"field 'normalizer' must be an object, got {type(obj).__name__}")
+        for m in [*metrics, *obj]:
+            v = obj.get(m)
+            if not (isinstance(v, list) and len(v) == 2 and all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and abs(x) <= sys.float_info.max for x in v) and v[1] >= 0):
+                raise SchemaError(f"field 'normalizer.{m}' must be [mu, sigma] of finite "
+                                  f"numbers with sigma >= 0, got {v!r}")
         return cls({m: (float(v[0]), float(v[1])) for m, v in obj.items()})
 
 
@@ -75,10 +88,6 @@ class FeatureMatrix:
             raise DataError("feature values must be 2-D")
         if self.values.shape[1] != len(self.col_names):
             raise DataError("column names do not match feature width")
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n_cols(self) -> int:

@@ -1,5 +1,6 @@
-"""Classifiers (random forest, linear SVM, k-NN, MLP) and the evaluation
-protocol (splits, k-fold CV, LOPO CV, grid search, score reports)."""
+"""Classifiers (random forest, linear SVM, k-NN, MLP), declared once in
+FAMILIES, and the evaluation protocol (splits, k-fold CV, LOPO CV, grid
+search, score reports)."""
 
 from .evaluation import (
     ClassMetrics,
@@ -17,7 +18,7 @@ from .forest import DEFAULT_N_TREES, RandomForestModel, train_rf
 from .linear import LinearSvmModel, train_linear_svm
 from .mlp import MlpModel, MlpParams, init_params, loss_and_grads, train_mlp
 from .neighbors import KnnModel, train_knn
-from .serialize import load_model, model_kind, save_model
+from .serialize import FAMILIES, load_model, save_model
 
 __all__ = [
     "ClassMetrics",
@@ -42,7 +43,7 @@ __all__ = [
     "train_mlp",
     "KnnModel",
     "train_knn",
+    "FAMILIES",
     "load_model",
-    "model_kind",
     "save_model",
 ]

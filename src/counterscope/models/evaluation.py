@@ -21,6 +21,7 @@ from ..errors import (
     SingleGroupError,
     UnknownLabelError,
 )
+from .forest import _as_matrix
 
 
 def _ratio(num: float, den: float) -> float:
@@ -132,6 +133,20 @@ def evaluate(model, features, labels) -> EvaluationReport:
     return EvaluationReport.from_confusion(list(model.classes), confusion)
 
 
+def _shuffled_by_label(labels, seed: int, need: int):
+    """Item indices of each label, in sorted label order, each shuffled by
+    one generator seeded with `seed`; every label needs `need` items."""
+    rng = np.random.default_rng(seed)
+    by_label: dict[str, list[int]] = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+    for label in sorted(by_label):
+        idx = np.array(by_label[label])
+        if idx.size < need:
+            raise LabelTooSmallError(f"label {label!r} has {idx.size} item(s), need >= {need}")
+        yield idx[rng.permutation(idx.size)]
+
+
 def stratified_split(labels, train_fraction: float = 0.8, seed: int = 0):
     """Per-label proportional index split -> (train_indices, test_indices).
 
@@ -140,20 +155,11 @@ def stratified_split(labels, train_fraction: float = 0.8, seed: int = 0):
     """
     if not 0.0 < train_fraction < 1.0:
         raise DegenerateInputError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    labels = list(labels)
-    rng = np.random.default_rng(seed)
-    by_label: dict[str, list[int]] = {}
-    for i, label in enumerate(labels):
-        by_label.setdefault(label, []).append(i)
     train_idx: list[int] = []
     test_idx: list[int] = []
-    for label in sorted(by_label):
-        idx = np.array(by_label[label])
-        if idx.size < 2:
-            raise LabelTooSmallError(f"label {label!r} has {idx.size} item(s), need >= 2")
-        shuffled = idx[rng.permutation(idx.size)]
-        n_train = int(np.floor(train_fraction * idx.size + 0.5))
-        n_train = min(max(n_train, 1), idx.size - 1)
+    for shuffled in _shuffled_by_label(labels, seed, 2):
+        n_train = int(np.floor(train_fraction * shuffled.size + 0.5))
+        n_train = min(max(n_train, 1), shuffled.size - 1)
         train_idx.extend(shuffled[:n_train].tolist())
         test_idx.extend(shuffled[n_train:].tolist())
     return sorted(train_idx), sorted(test_idx)
@@ -165,39 +171,20 @@ def split_corpus(corpus, train_fraction: float = 0.8, seed: int = 0):
     return corpus.subset(train_idx), corpus.subset(test_idx)
 
 
-def _feature_rows(features) -> np.ndarray:
-    X = np.asarray(getattr(features, "values", features), dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    return X
-
-
 def stratified_folds(labels, k: int, seed: int = 0) -> list[list[int]]:
     """k stratified folds of item indices, deterministic in seed."""
-    labels = list(labels)
-    rng = np.random.default_rng(seed)
-    by_label: dict[str, list[int]] = {}
-    for i, label in enumerate(labels):
-        by_label.setdefault(label, []).append(i)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for label in sorted(by_label):
-        idx = np.array(by_label[label])
-        if idx.size < k:
-            raise LabelTooSmallError(f"label {label!r} has {idx.size} item(s), need >= {k}")
-        shuffled = idx[rng.permutation(idx.size)]
+    for shuffled in _shuffled_by_label(labels, seed, k):
         for pos, item in enumerate(shuffled.tolist()):
             folds[pos % k].append(item)
     return [sorted(f) for f in folds]
 
 
-def kfold_cv(features, labels, trainer, k: int = 5, seed: int = 0) -> EvaluationReport:
-    """Stratified k-fold CV; pooled confusion plus per-fold sub-reports."""
-    labels = list(labels)
-    if k < 2:
-        raise DegenerateInputError(f"k must be >= 2, got {k}")
-    X = _feature_rows(features)
+def _pooled_cv(features, labels, trainer, folds) -> EvaluationReport:
+    """Each fold is tested by a model trained on every other row; pooled
+    confusion plus per-fold sub-reports."""
+    X = _as_matrix(features)
     axis = sorted(set(labels))
-    folds = stratified_folds(labels, k, seed)
     fold_reports = []
     pooled = np.zeros((len(axis), len(axis)), dtype=int)
     for test_idx in folds:
@@ -211,6 +198,14 @@ def kfold_cv(features, labels, trainer, k: int = 5, seed: int = 0) -> Evaluation
     return EvaluationReport.from_confusion(axis, pooled, folds=fold_reports)
 
 
+def kfold_cv(features, labels, trainer, k: int = 5, seed: int = 0) -> EvaluationReport:
+    """Stratified k-fold CV; pooled confusion plus per-fold sub-reports."""
+    labels = list(labels)
+    if k < 2:
+        raise DegenerateInputError(f"k must be >= 2, got {k}")
+    return _pooled_cv(features, labels, trainer, stratified_folds(labels, k, seed))
+
+
 def lopo_cv(features, labels, groups, trainer) -> EvaluationReport:
     """Leave-one-group-out CV: fold g trains on every group except g."""
     labels = list(labels)
@@ -220,19 +215,8 @@ def lopo_cv(features, labels, groups, trainer) -> EvaluationReport:
     distinct = sorted(set(groups))
     if len(distinct) < 2:
         raise SingleGroupError("need >= 2 distinct groups")
-    X = _feature_rows(features)
-    axis = sorted(set(labels))
-    fold_reports = []
-    pooled = np.zeros((len(axis), len(axis)), dtype=int)
-    for g in distinct:
-        test_idx = [i for i, gg in enumerate(groups) if gg == g]
-        train_idx = [i for i, gg in enumerate(groups) if gg != g]
-        model = trainer(X[train_idx], [labels[i] for i in train_idx])
-        predicted = model.predict(X[test_idx])
-        confusion = confusion_matrix([labels[i] for i in test_idx], predicted, axis)
-        pooled += confusion
-        fold_reports.append(EvaluationReport.from_confusion(axis, confusion))
-    return EvaluationReport.from_confusion(axis, pooled, folds=fold_reports)
+    return _pooled_cv(features, labels, trainer,
+                      [[i for i, gg in enumerate(groups) if gg == g] for g in distinct])
 
 
 def grid_search(features, labels, trainer_family, grid, k: int = 5, seed: int = 0):

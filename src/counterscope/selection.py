@@ -36,9 +36,6 @@ class PruneReport:
     retained: tuple[str, ...]
     dropped: tuple[DroppedPair, ...]
 
-    def dropped_ids(self) -> list[str]:
-        return [d.dropped for d in self.dropped]
-
     def to_dict(self) -> dict:
         return {
             "retained": list(self.retained),

@@ -160,13 +160,6 @@ def load_profile(path) -> dict[str, MetricResponse]:
     return out
 
 
-def write_profile(profile: dict[str, MetricResponse], path) -> None:
-    payload = {mid: dataclasses.asdict(r) for mid, r in profile.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 @dataclass(frozen=True)
 class ObjectSweep:
     """An object crossing the scene at constant speed and fixed depth."""

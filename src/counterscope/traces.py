@@ -14,7 +14,6 @@ one ``{"trace": <relative path>, "label": ..., "group": ...}`` per line.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -28,7 +27,6 @@ from .errors import (
     ParseError,
     RaggedRowsError,
     SchemaError,
-    TooShortError,
 )
 
 
@@ -66,11 +64,6 @@ class TraceSet:
 
     def values(self, metric: str) -> np.ndarray:
         return self.matrix[:, self.metrics.index(metric)]
-
-    def select(self, metrics: list[str]) -> "TraceSet":
-        """Sub-TraceSet with the given metric columns, in the given order."""
-        cols = [self.metrics.index(m) for m in metrics]
-        return TraceSet(list(metrics), self.matrix[:, cols].copy(), self.t0, dict(self.meta))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TraceSet):
@@ -233,19 +226,4 @@ def read_manifest(path) -> LabeledCorpus:
                 raise MissingTraceFileError(tpath)
             trace = read_wide_csv(tpath)
             items.append(CorpusItem(trace, str(obj["label"]), str(obj.get("group", ""))))
-    return LabeledCorpus(items)
-
-
-def truncate_align(corpus: LabeledCorpus, n: int) -> LabeledCorpus:
-    """Prefix-truncate every trace to exactly n seconds (idempotent at fixed n)."""
-    if n < 1:
-        raise DataError(f"n must be >= 1, got {n}")
-    items = []
-    for i, item in enumerate(corpus):
-        if item.trace.n_seconds < n:
-            raise TooShortError(
-                f"item {i}: trace has {item.trace.n_seconds} s, need {n}")
-        t = item.trace
-        items.append(dataclasses.replace(
-            item, trace=TraceSet(t.metrics, t.matrix[:n].copy(), t.t0, dict(t.meta))))
     return LabeledCorpus(items)

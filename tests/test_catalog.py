@@ -53,14 +53,6 @@ def test_ids_are_snake_case_and_unique(catalog):
         assert all(c.isalnum() or c == "_" for c in mid)
 
 
-def test_percent_metrics_have_valid_range(catalog):
-    for e in catalog:
-        if e.unit == "percent":
-            assert e.valid_range() == (0.0, 100.0)
-        else:
-            assert e.valid_range() is None
-
-
 def test_builtin_is_deterministic():
     assert builtin_catalog() == builtin_catalog()
 

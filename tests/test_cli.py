@@ -547,14 +547,36 @@ def _eval_model_file(tmp_path, **context):
     return manifest, path, corpus
 
 
+def _envelope(key, value):
+    return {"edit": lambda payload: payload.update({key: value})}
+
+
 @pytest.mark.parametrize("context, field", [
     ({"metrics": None}, "'metrics'"),
     ({"layout": None}, "'layout'"),
     ({"normalizer": None}, "'normalizer'"),
     ({"layout": "stat2"}, "model width 12"),
+    # the context of the written file is edited after saving
+    (_envelope("normalizer", [1, 2]), "'normalizer'"),
+    ({"edit": lambda payload: payload["normalizer"].update(gpu_bus_busy="x")},
+     "'normalizer.gpu_bus_busy'"),
+    ({"edit": lambda payload: payload["normalizer"].update(gpu_bus_busy=[0.0, -1.0])},
+     "'normalizer.gpu_bus_busy'"),
+    ({"edit": lambda payload: payload["normalizer"].pop("gpu_bus_busy")},
+     "'normalizer.gpu_bus_busy'"),
+    (_envelope("metrics", "abc"), "'metrics'"),
+    (_envelope("layout", "stat9"), "'layout'"),
 ])
 def test_eval_refuses_to_coerce(tmp_path, capsys, context, field):
+    context = dict(context)
+    edit = context.pop("edit", None)
     manifest, path, _ = _eval_model_file(tmp_path, **context)
+    if edit is not None:
+        with open(path) as fh:
+            payload = json.load(fh)
+        edit(payload)
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
     assert run_cli(["eval", "--manifest", manifest, "--model-file", path,
                     "--out", str(tmp_path / "ev")]) == 2
     err = capsys.readouterr().err

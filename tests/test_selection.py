@@ -68,9 +68,10 @@ class TestCorrelationPrune:
                                   rng.standard_normal(200)])
         corpus = corpus_from_matrix(matrix, metrics)
         report = correlation_prune(corpus, metrics, 0.90)
-        assert sorted(report.retained) + sorted(report.dropped_ids()) != []
-        assert set(report.retained) | set(report.dropped_ids()) == set(metrics)
-        assert set(report.retained) & set(report.dropped_ids()) == set()
+        dropped = {d.dropped for d in report.dropped}
+        assert len(dropped) == len(report.dropped)
+        assert set(report.retained) | dropped == set(metrics)
+        assert set(report.retained) & dropped == set()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_no_retained_pair_exceeds_threshold(self, seed):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from counterscope.simulator import (
     script_from_dict,
     script_to_dict,
     simulate,
-    write_profile,
 )
 
 NBLT = "non_base_level_textures"
@@ -315,5 +315,5 @@ class TestSerialization:
 
     def test_profile_round_trip(self, tmp_path, profile):
         path = tmp_path / "profile.json"
-        write_profile(profile, path)
+        path.write_text(json.dumps({mid: dataclasses.asdict(r) for mid, r in profile.items()}))
         assert load_profile(path) == profile

@@ -13,7 +13,6 @@ from counterscope.errors import (
     MissingTraceFileError,
     ParseError,
     RaggedRowsError,
-    TooShortError,
 )
 from counterscope.traces import (
     CorpusItem,
@@ -21,7 +20,6 @@ from counterscope.traces import (
     TraceSet,
     read_manifest,
     read_wide_csv,
-    truncate_align,
     write_manifest,
     write_wide_csv,
 )
@@ -43,12 +41,6 @@ class TestTraceSet:
     def test_rejects_empty(self):
         with pytest.raises(DataError):
             TraceSet(["m"], np.zeros((0, 1)))
-
-    def test_select_reorders(self):
-        t = make_trace([[1, 2], [3, 4]])
-        sub = t.select(["m_b", "m_a"])
-        assert sub.metrics == ["m_b", "m_a"]
-        assert sub.matrix.tolist() == [[2, 1], [4, 3]]
 
     def test_equality_ignores_meta(self):
         a = make_trace([[1, 2]])
@@ -159,35 +151,3 @@ class TestManifest:
         write_manifest(corpus, tmp_path)
         loaded = read_manifest(tmp_path / "manifest.jsonl")
         assert loaded.labels() == ["z", "m", "a"]
-
-
-class TestTruncateAlign:
-    def corpus(self, lengths):
-        rng = np.random.default_rng(2)
-        return LabeledCorpus([
-            CorpusItem(make_trace(rng.standard_normal((n, 2))), f"l{i}")
-            for i, n in enumerate(lengths)
-        ])
-
-    def test_truncates_to_n(self):
-        out = truncate_align(self.corpus([40, 35]), 30)
-        assert [it.trace.n_seconds for it in out] == [30, 30]
-
-    def test_prefix_kept(self):
-        corpus = self.corpus([10])
-        out = truncate_align(corpus, 4)
-        np.testing.assert_array_equal(
-            out.items[0].trace.matrix, corpus.items[0].trace.matrix[:4])
-
-    def test_idempotent(self):
-        once = truncate_align(self.corpus([40, 35]), 30)
-        twice = truncate_align(once, 30)
-        assert all(a.trace == b.trace for a, b in zip(once, twice))
-
-    def test_too_short(self):
-        with pytest.raises(TooShortError, match="item 1"):
-            truncate_align(self.corpus([30, 20]), 30)
-
-    def test_zero_n_rejected(self):
-        with pytest.raises(DataError):
-            truncate_align(self.corpus([10]), 0)
