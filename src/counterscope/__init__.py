@@ -18,7 +18,7 @@ from . import (
     stepcount,
     traces,
 )
-from .catalog import MetricCatalog, MetricDescriptor, builtin_catalog, load_catalog, write_catalog
+from .catalog import MetricCatalog, MetricDescriptor, builtin_catalog, load_catalog
 from .traces import LabeledCorpus, TraceSet, read_manifest, read_wide_csv
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "MetricDescriptor",
     "builtin_catalog",
     "load_catalog",
-    "write_catalog",
     "LabeledCorpus",
     "TraceSet",
     "read_manifest",

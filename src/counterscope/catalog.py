@@ -13,10 +13,10 @@ the GPU fewer primitives to discard and smaller, simpler polygons to shade.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
+from . import schema
 from .errors import SchemaError
 
 CATEGORIES = (
@@ -173,51 +173,21 @@ def builtin_catalog() -> MetricCatalog:
     return MetricCatalog(tuple(entries))
 
 
+_ENTRY = {"id": schema.Field(str), "display_name": schema.Field(str),
+          "category": schema.Field(str), "unit": schema.Field(str),
+          "direction": schema.Field(str, INCREASES)}
+
+
 def load_catalog(path) -> MetricCatalog:
     """Load a catalog from a JSON array file, preserving file order.
 
-    Raises SchemaError (with the offending entry index) on duplicate ids,
-    unknown categories/units/directions, or missing fields; OSError if the
-    file cannot be read.
+    Raises SchemaError naming the file and the offending entry index on
+    duplicate ids, unknown categories/units/directions, or missing fields;
+    OSError if the file cannot be read.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}: top level must be a JSON array")
-    entries = []
-    for i, obj in enumerate(raw):
-        if not isinstance(obj, dict):
-            raise SchemaError(f"entry {i}: expected an object")
-        try:
-            entries.append(MetricDescriptor(
-                id=obj["id"],
-                display_name=obj["display_name"],
-                category=obj["category"],
-                unit=obj["unit"],
-                direction=obj.get("direction", INCREASES),
-            ))
-        except KeyError as exc:
-            raise SchemaError(f"entry {i}: missing field {exc}") from exc
-        except SchemaError as exc:
-            raise SchemaError(f"entry {i}: {exc}") from exc
-    return MetricCatalog(tuple(entries))
-
-
-def write_catalog(catalog: MetricCatalog, path) -> None:
-    """Write a catalog as the JSON array format load_catalog reads."""
-    payload = [
-        {
-            "id": e.id,
-            "display_name": e.display_name,
-            "category": e.category,
-            "unit": e.unit,
-            "direction": e.direction,
-        }
-        for e in catalog
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    with schema.located(path):
+        entries = []
+        for i, obj in enumerate(schema.read(schema.load_json(path), list, "a catalog")):
+            with schema.located(f"entry {i}"):
+                entries.append(MetricDescriptor(**schema.fields(obj, _ENTRY, "an entry")))
+        return MetricCatalog(tuple(entries))

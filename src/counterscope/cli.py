@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import plots
+from . import plots, schema
 from .catalog import builtin_catalog, load_catalog
 from .defense import (
     DummyRender,
@@ -98,21 +98,8 @@ def _default_seed() -> int:
     return 0
 
 
-def _typed(value, kind: type, source: str, nullable: bool = False, minimum=None):
-    """`value` as a `kind` (int, float or str): a bool is never a number, an
-    int slot takes only ints, a float slot an int or a finite float (returned
-    as a float), None passes only where `nullable`, and a number below
-    `minimum` is refused. DataError names `source`."""
-    if value is None and nullable:
-        return None
-    number = (isinstance(value, int if kind is int else (int, float))
-              and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
-    if not (isinstance(value, str) if kind is str else number):
-        raise DataError(f"{source} must be {'a finite number' if kind is float else kind.__name__}"
-                        f"{' or null' if nullable else ''}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise DataError(f"{source} must be >= {minimum}, got {value!r}")
-    return float(value) if kind is float else value
+# the allowed values of string keys, for their flags and their config values
+_CHOICES = {"model": tuple(FAMILIES), "layout": LAYOUTS, "strategy": ("gaussian", "dummy")}
 
 
 class RunConfig:
@@ -122,21 +109,21 @@ class RunConfig:
         self.args = args
         self.file_values = {}
         if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                self.file_values = json.load(fh)
-            if not isinstance(self.file_values, dict):
-                raise DataError(f"{args.config}: config file must be a JSON object")
+            self.file_values = schema.read(schema.load_json(args.config), dict,
+                                           f"{args.config}: a config file")
         self.resolved = {}
 
     def get(self, key: str, default=None, kind: type | None = None, minimum=None):
         """The flag, else the config file's value, else `default`, read as
-        `kind` (by default the type of `default`) through _typed."""
-        value, source = getattr(self.args, key, None), "--" + key.replace("_", "-")
+        `kind` (by default the type of `default`) by schema.read."""
+        value, where = getattr(self.args, key, None), "--" + key.replace("_", "-")
         if value is None:
             value = self.file_values.get(key, default)
-            source = f"{self.args.config}: field {key!r}"
+            where = f"{self.args.config}: field {key!r}"
         if value is not default:  # a default needs no check
-            value = _typed(value, kind or type(default), source, default is None, minimum)
+            kind = kind or type(default)
+            value = schema.read(value, kind, where, minimum, _CHOICES.get(key), default is None)
+            value = float(value) if kind is float and value is not None else value
         self.resolved[key] = value
         return value
 
@@ -181,8 +168,6 @@ def _trainer_factory(model_name: str, cfg: RunConfig, seed: int,
     """(trainer, params) of a FAMILIES entry: flags, then config values, then
     defaults, with `overrides` (one grid entry) replacing params of the same
     name."""
-    if model_name not in FAMILIES:
-        raise DataError(f"unknown model {model_name!r}")
     family = FAMILIES[model_name]
     params = {p.arg: seed if p.key == "seed" else cfg.get(p.key, p.default, p.kind, p.minimum)
               for p in family.params}
@@ -192,7 +177,8 @@ def _trainer_factory(model_name: str, cfg: RunConfig, seed: int,
             raise DataError(f"unknown {model_name} parameter {key!r}; "
                             f"known: {', '.join(params)}")
         p = declared[key]
-        params[key] = _typed(value, p.kind, repr(key), p.default is None, p.minimum)
+        params[key] = schema.read(value, p.kind, repr(key), p.minimum,
+                                  nullable=p.default is None)
     # Looked up by name in this module's globals when it runs, so a wrapper
     # installed at counterscope.cli.train_rf (say) sees every fit.
     name = family.trainer.__name__
@@ -316,8 +302,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     for key in ("metrics", "layout", "normalizer"):
         if context[key] is None:
             raise DataError(f"{path}: field {key!r} is missing")
-    features = _build_features(corpus, context["metrics"], context["normalizer"],
-                               context["layout"])
+    with schema.located(f"{path}: field 'metrics'"):
+        features = _build_features(corpus, context["metrics"], context["normalizer"],
+                                   context["layout"])
     try:
         report = evaluate(model, features, corpus.labels())
     except DegenerateInputError as exc:  # the model's own feature-width check
@@ -368,17 +355,11 @@ def cmd_grid(cfg: RunConfig) -> int:
     corpus = read_manifest(cfg.args.manifest)
     seed = cfg.seed()
     model_name = cfg.get("model", "rf")
-    with open(cfg.args.grid, "r", encoding="utf-8") as fh:
-        grid = json.load(fh)
-    if not isinstance(grid, list):
-        raise DataError(f"{cfg.args.grid}: grid must be a JSON array of objects")
-    for i, entry in enumerate(grid):
-        try:
-            if not isinstance(entry, dict):
-                raise DataError("must be a JSON object")
-            _trainer_factory(model_name, cfg, seed, entry)
-        except DataError as exc:
-            raise DataError(f"{cfg.args.grid}: entry {i}: {exc}") from None
+    _trainer_factory(model_name, cfg, seed)  # the flags and config values, checked once
+    grid = schema.load_json(cfg.args.grid)
+    for i, entry in enumerate(schema.read(grid, list, f"{cfg.args.grid}: a grid")):
+        with schema.located(f"{cfg.args.grid}: entry {i}"):
+            _trainer_factory(model_name, cfg, seed, schema.read(entry, dict, "an entry"))
     layout = cfg.get("layout", LAYOUT_STAT4)
     metrics = corpus.metrics
     norm = fit_normalizer(corpus, metrics)
@@ -448,10 +429,8 @@ def _strategy_from_cfg(cfg: RunConfig, seed: int):
     kind = cfg.get("strategy", "gaussian")
     if kind == "gaussian":
         return GaussianNoise(cfg.get("sigma", 1.0), seed=seed)
-    if kind == "dummy":
-        return DummyRender(cfg.get("rate", 1.0), size_s=cfg.get("size", 2.0),
-                           depth_z=cfg.get("depth", 2.0), seed=seed)
-    raise DataError(f"unknown strategy {kind!r}")
+    return DummyRender(cfg.get("rate", 1.0), size_s=cfg.get("size", 2.0),
+                       depth_z=cfg.get("depth", 2.0), seed=seed)
 
 
 def cmd_defend_inject(cfg: RunConfig) -> int:
@@ -622,7 +601,7 @@ def build_parser() -> _Parser:
 
     d = defend.add_parser("inject", help="write a noise-perturbed copy of a trace")
     d.add_argument("--trace", required=True)
-    d.add_argument("--strategy", choices=["gaussian", "dummy"],
+    d.add_argument("--strategy", choices=list(_CHOICES["strategy"]),
                    help="perturbation kind (default gaussian)")
     d.add_argument("--sigma", type=float, help="gaussian: sigma multiplier")
     d.add_argument("--rate", type=float, help="dummy: objects per second")
@@ -656,7 +635,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(args)
         return args.func(cfg)
-    except (DataError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - report and map to internal-error code

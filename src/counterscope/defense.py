@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import schema
 from .catalog import MetricCatalog
 from .errors import DataError, InvalidStrategyError
 from .features import build_stat_features, fit_normalizer
@@ -39,8 +40,8 @@ class AccessLog:
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.timestamps)
-        if any(t < 0 for t in ts):
-            raise DataError("timestamps must be nonnegative")
+        if not all(0 <= t < np.inf for t in ts):
+            raise DataError("timestamps must be finite and nonnegative")
         if any(b < a for a, b in zip(ts, ts[1:])):
             raise DataError("timestamps must be non-decreasing")
         object.__setattr__(self, "timestamps", ts)
@@ -52,12 +53,14 @@ class AccessLog:
 def read_access_log(path) -> AccessLog:
     """One decimal-seconds timestamp per line."""
     stamps = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                stamps.append(float(line))
-    return AccessLog(tuple(stamps))
+    with open(path, "r", encoding="utf-8", errors="replace") as fh, schema.located(path):
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    stamps.append(float(line))
+                except ValueError:
+                    raise DataError(f"line {lineno}: {line.strip()!r} is not a number") from None
+        return AccessLog(tuple(stamps))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ class ParseError(DataError):
     Carries 1-based row and column of the offending cell.
     """
 
-    def __init__(self, row, col, message):
-        super().__init__(f"row {row}, col {col}: {message}")
+    def __init__(self, row, col, message, path=None):
+        super().__init__(f"{'' if path is None else f'{path}: '}row {row}, col {col}: {message}")
         self.row = row
         self.col = col
 

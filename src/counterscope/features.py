@@ -10,12 +10,12 @@ mean in normalized space) and flattened time-major.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SchemaError, UnknownMetricError
+from . import schema
+from .errors import DataError, UnknownMetricError
 from .stats import summarize
 from .traces import LabeledCorpus, TraceSet
 
@@ -62,16 +62,11 @@ class NormalizationStats:
     def from_dict(cls, obj: dict, metrics=()) -> "NormalizationStats":
         """Stats from their `to_dict()` form, a model file's 'normalizer'.
         SchemaError names a malformed entry, or one of `metrics` it lacks."""
-        if not isinstance(obj, dict):
-            raise SchemaError(f"field 'normalizer' must be an object, got {type(obj).__name__}")
-        for m in [*metrics, *obj]:
-            v = obj.get(m)
-            if not (isinstance(v, list) and len(v) == 2 and all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and abs(x) <= sys.float_info.max for x in v) and v[1] >= 0):
-                raise SchemaError(f"field 'normalizer.{m}' must be [mu, sigma] of finite "
-                                  f"numbers with sigma >= 0, got {v!r}")
-        return cls({m: (float(v[0]), float(v[1])) for m, v in obj.items()})
+        stats = {}
+        for m in [*schema.read(obj, dict, "field 'normalizer'"), *metrics]:
+            mu, sigma = schema.get(obj, m, float, at="normalizer.", shape=(2,)).tolist()
+            stats[m] = (mu, schema.read(sigma, float, f"field 'normalizer.{m}'", minimum=0))
+        return cls(stats)
 
 
 @dataclass
@@ -88,10 +83,6 @@ class FeatureMatrix:
             raise DataError("feature values must be 2-D")
         if self.values.shape[1] != len(self.col_names):
             raise DataError("column names do not match feature width")
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
 
 
 def _check_metrics(corpus_metrics: list[str], requested: list[str]) -> None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import schema
 from ..errors import DegenerateInputError, SchemaError
 from ..seeding import derive_seed
 
@@ -76,25 +77,17 @@ class Tree:
             left.append(-1)
             right.append(-1)
             value.append([0.0] * n_classes)
-            if not isinstance(node, dict):
-                raise SchemaError(f"field {path!r} is not an object")
+            schema.read(node, dict, f"field {path!r}")
             if "dist" in node:
-                dist = node["dist"]
-                if not isinstance(dist, list) or len(dist) != n_classes:
-                    raise SchemaError(f"field '{path}.dist' must list {n_classes} "
-                                      f"class probabilities, got {_show(dist)}")
-                value[i] = [_number(p, f"{path}.dist") for p in dist]
+                value[i] = schema.get(node, "dist", float, at=f"{path}.", shape=(n_classes,))
                 return i
             missing = [k for k in _SPLIT_KEYS if k not in node]
             if missing:
                 raise SchemaError(f"field {path!r} has no 'dist' and lacks "
                                   f"{', '.join(repr(k) for k in missing)}")
-            f = node["feature"]
-            if not _is_int(f) or not 0 <= f < n_features:
-                raise SchemaError(f"field '{path}.feature' must be an integer in "
-                                  f"[0, {n_features}), got {_show(f)}")
-            feature[i] = f
-            threshold[i] = _number(node["threshold"], f"{path}.threshold")
+            feature[i] = schema.get(node, "feature", int, choices=range(n_features),
+                                    at=f"{path}.")
+            threshold[i] = schema.get(node, "threshold", float, at=f"{path}.")
             left[i] = add(node["left"], f"{path}.left")
             right[i] = add(node["right"], f"{path}.right")
             return i
@@ -105,19 +98,19 @@ class Tree:
                    np.array(value, dtype=float).reshape(-1, n_classes))
 
 
-def _show(x) -> str:
-    text = repr(x)
-    return text if len(text) <= 60 else text[:57] + "..."
+def read_classes(obj: dict) -> list[str]:
+    """A model body's 'classes': a list of >= 2 string labels."""
+    classes = schema.get(obj, "classes", list)
+    for i, label in enumerate(classes):
+        schema.read(label, str, f"field 'classes[{i}]'")
+    schema.read(len(classes), int, "the length of field 'classes'", minimum=2)
+    return classes
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _number(x, path: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SchemaError(f"field {path!r} must be a number, got {_show(x)}")
-    return float(x)
+_BODY = {"n_trees": schema.Field(int, minimum=1), "max_depth": schema.Field(int, nullable=True),
+         "min_samples_split": schema.Field(int), "feature_subsample": schema.Field(int),
+         "seed": schema.Field(int), "n_features": schema.Field(int, minimum=1),
+         "trees": schema.Field(list)}
 
 
 @dataclass
@@ -156,33 +149,15 @@ class RandomForestModel:
     def from_dict(cls, obj: dict) -> "RandomForestModel":
         """Model from its `to_dict()` form; a malformed body raises
         SchemaError naming the field."""
-        def get(key, ok, what):
-            if key not in obj:
-                raise SchemaError(f"field {key!r} is missing")
-            if not ok(obj[key]):
-                raise SchemaError(f"field {key!r} must be {what}, got {_show(obj[key])}")
-            return obj[key]
-
-        classes = get("classes", lambda v: isinstance(v, list) and len(v) >= 2,
-                      "a list of >= 2 class labels")
-        n_features = get("n_features", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-        trees = get("trees", lambda v: isinstance(v, list) and v, "a non-empty list")
-        n_trees = get("n_trees", _is_int, "an integer")
-        if n_trees != len(trees):
-            raise SchemaError(f"field 'n_trees' is {n_trees} but field 'trees' "
+        classes = read_classes(obj)
+        values = schema.fields(obj, _BODY, "a model body")
+        trees = values.pop("trees")
+        if values["n_trees"] != len(trees):
+            raise SchemaError(f"field 'n_trees' is {values['n_trees']} but field 'trees' "
                               f"holds {len(trees)} trees")
-        return cls(
-            classes=list(classes),
-            n_trees=n_trees,
-            max_depth=get("max_depth", lambda v: v is None or _is_int(v),
-                          "an integer or null"),
-            min_samples_split=get("min_samples_split", _is_int, "an integer"),
-            feature_subsample=get("feature_subsample", _is_int, "an integer"),
-            seed=get("seed", _is_int, "an integer"),
-            n_features=n_features,
-            trees=[Tree.from_dict(t, len(classes), n_features, f"trees[{i}]")
-                   for i, t in enumerate(trees)],
-        )
+        return cls(classes, trees=[Tree.from_dict(t, len(classes), values["n_features"],
+                                                  f"trees[{i}]")
+                                   for i, t in enumerate(trees)], **values)
 
 
 def _forest_proba(trees: list[Tree], X: np.ndarray, n_classes: int) -> np.ndarray:

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import schema
 from ..errors import DegenerateInputError
-from .forest import _as_matrix, encode_labels
+from .forest import _as_matrix, encode_labels, read_classes
 
 
 @dataclass
@@ -37,9 +38,9 @@ class LinearSvmModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LinearSvmModel":
-        return cls(list(obj["classes"]),
-                   np.asarray(obj["weights"], dtype=float),
-                   np.asarray(obj["biases"], dtype=float))
+        classes = read_classes(obj)
+        return cls(classes, schema.get(obj, "weights", float, shape=(len(classes), None)),
+                   schema.get(obj, "biases", float, shape=(len(classes),)))
 
 
 def train_linear_svm(features, labels, lr: float = 0.01, epochs: int = 50,

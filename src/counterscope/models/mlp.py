@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import schema
 from ..errors import DegenerateInputError
-from .forest import _as_matrix, encode_labels
+from .forest import _as_matrix, encode_labels, read_classes
 
 
 @dataclass
@@ -18,18 +19,6 @@ class MlpParams:
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (h, c)
     b2: np.ndarray  # (c,)
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([p.reshape(-1) for p in (self.w1, self.b1, self.w2, self.b2)])
-
-    @classmethod
-    def unflatten(cls, vec: np.ndarray, d: int, h: int, c: int) -> "MlpParams":
-        sizes = [d * h, h, h * c, c]
-        parts = np.split(np.asarray(vec, dtype=float), np.cumsum(sizes)[:-1])
-        return cls(parts[0].reshape(d, h), parts[1], parts[2].reshape(h, c), parts[3])
 
 
 def init_params(d: int, h: int, c: int, seed: int = 0) -> MlpParams:
@@ -96,11 +85,13 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MlpModel":
-        params = MlpParams(np.asarray(obj["w1"], dtype=float),
-                           np.asarray(obj["b1"], dtype=float),
-                           np.asarray(obj["w2"], dtype=float),
-                           np.asarray(obj["b2"], dtype=float))
-        return cls(list(obj["classes"]), params, int(obj["hidden_size"]))
+        classes = read_classes(obj)
+        h = schema.get(obj, "hidden_size", int, minimum=1)
+        params = MlpParams(schema.get(obj, "w1", float, shape=(None, h)),
+                           schema.get(obj, "b1", float, shape=(h,)),
+                           schema.get(obj, "w2", float, shape=(h, len(classes))),
+                           schema.get(obj, "b2", float, shape=(len(classes),)))
+        return cls(classes, params, h)
 
 
 def train_mlp(features, labels, hidden_size: int = 32, learning_rate: float = 0.05,

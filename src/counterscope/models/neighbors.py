@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import schema
 from ..errors import DegenerateInputError
-from .forest import _as_matrix, encode_labels
+from .forest import _as_matrix, encode_labels, read_classes
 
 
 @dataclass
@@ -38,9 +39,13 @@ class KnnModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KnnModel":
-        return cls(list(obj["classes"]), int(obj["k"]),
-                   np.asarray(obj["train_x"], dtype=float),
-                   np.asarray(obj["train_y"], dtype=int))
+        classes = read_classes(obj)
+        train_x = schema.get(obj, "train_x", float, shape=(None, None))
+        train_y = schema.get(obj, "train_y", int, shape=(len(train_x),))
+        for i, y in enumerate(train_y.tolist()):
+            schema.read(y, int, f"field 'train_y[{i}]'", choices=range(len(classes)))
+        k = schema.get(obj, "k", int, choices=range(1, len(train_x) + 1))
+        return cls(classes, k, train_x, train_y)
 
 
 def train_knn(features, labels, k: int = 5) -> KnnModel:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from typing import Callable, NamedTuple
 
+from .. import schema
 from ..errors import SchemaError
 from ..features import LAYOUTS, NormalizationStats
-from .forest import DEFAULT_N_TREES, RandomForestModel, _show, train_rf
+from .forest import DEFAULT_N_TREES, RandomForestModel, train_rf
 from .linear import LinearSvmModel, train_linear_svm
 from .mlp import MlpModel, train_mlp
 from .neighbors import KnnModel, train_knn
@@ -58,6 +59,17 @@ FAMILIES = {
 }
 
 
+_ENVELOPE = {
+    "format": schema.Field(str, choices=(FORMAT_NAME,)),
+    "version": schema.Field(int, choices=(FORMAT_VERSION,)),
+    "kind": schema.Field(str, choices=FAMILIES),
+    "model": schema.Field(dict),
+    "metrics": schema.Field(list, None),
+    "layout": schema.Field(str, None, choices=LAYOUTS),
+    "normalizer": schema.Field(dict, None),
+}
+
+
 def save_model(model, path, metrics: list[str] | None = None,
                layout: str | None = None,
                normalizer: NormalizationStats | None = None) -> None:
@@ -84,36 +96,14 @@ def save_model(model, path, metrics: list[str] | None = None,
 def load_model(path):
     """Returns (model, context) where context holds kind/metrics/layout/normalizer,
     each None where the file lacks it; a malformed field raises SchemaError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
-        raise SchemaError(f"{path}: not a {FORMAT_NAME} file")
-    if payload.get("version") != FORMAT_VERSION:
-        raise SchemaError(f"{path}: unsupported version {payload.get('version')}")
-    kind = payload.get("kind")
-    if not isinstance(kind, str) or kind not in FAMILIES:
-        raise SchemaError(f"{path}: unknown model kind {kind!r}")
-    body = payload.get("model")
-    if not isinstance(body, dict):
-        raise SchemaError(f"{path}: field 'model' is missing or not an object")
-    try:
-        model = FAMILIES[kind].model.from_dict(body)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: in 'model': {exc}") from None
-    except KeyError as exc:
-        raise SchemaError(f"{path}: in 'model': field {exc} is missing") from None
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: in 'model': malformed {kind} body: {exc}") from None
-    metrics, layout, norm = (payload.get(k) for k in ("metrics", "layout", "normalizer"))
-    if metrics is not None and not (isinstance(metrics, list)
-                                    and all(isinstance(m, str) for m in metrics)):
-        raise SchemaError(f"{path}: field 'metrics' must be a list of metric ids, "
-                          f"got {_show(metrics)}")
-    if layout is not None and layout not in LAYOUTS:
-        raise SchemaError(f"{path}: field 'layout' must be one of {', '.join(LAYOUTS)}, "
-                          f"got {_show(layout)}")
-    try:
-        norm = norm if norm is None else NormalizationStats.from_dict(norm, metrics or ())
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-    return model, {"kind": kind, "metrics": metrics, "layout": layout, "normalizer": norm}
+    with schema.located(path):
+        envelope = schema.fields(schema.load_json(path), _ENVELOPE, f"a {FORMAT_NAME} file")
+        with schema.located("in 'model'"):
+            model = FAMILIES[envelope["kind"]].model.from_dict(envelope.pop("model"))
+        for i, metric in enumerate(envelope["metrics"] or ()):
+            schema.read(metric, str, f"field 'metrics[{i}]'")
+        if envelope["normalizer"] is not None:
+            envelope["normalizer"] = NormalizationStats.from_dict(envelope["normalizer"],
+                                                                  envelope["metrics"] or ())
+    del envelope["format"], envelope["version"]
+    return model, envelope

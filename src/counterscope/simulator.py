@@ -30,15 +30,14 @@ bit-identical output.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
+from . import schema
 from .catalog import MetricCatalog
-from .errors import DataError, InvalidScriptError, InvalidSpecError, SchemaError
+from .errors import InvalidScriptError, InvalidSpecError, SchemaError
 from .seeding import derive_seed
 from .traces import CorpusItem, LabeledCorpus, TraceSet
 
@@ -62,10 +61,6 @@ class MetricResponse:
     g: float
     delta: float
     sigma: float
-
-    def __post_init__(self):
-        if not self.sigma >= 0:
-            raise SchemaError(f"field 'sigma' must be >= 0, got {self.sigma!r}")
 
 
 # Default response profile for the built-in catalog. Magnitudes are synthetic
@@ -145,19 +140,17 @@ def builtin_profile() -> dict[str, MetricResponse]:
     return dict(DEFAULT_PROFILE)
 
 
+_RESPONSE = {f.name: schema.Field(float, minimum=0 if f.name == "sigma" else None)
+             for f in dataclasses.fields(MetricResponse)}
+
+
 def load_profile(path) -> dict[str, MetricResponse]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: profile must be a JSON object")
-    out = {}
-    for mid, obj in raw.items():
-        try:
-            out[mid] = MetricResponse(**{f.name: float(obj[f.name])
-                                         for f in dataclasses.fields(MetricResponse)})
-        except (KeyError, TypeError, ValueError, SchemaError) as exc:
-            raise SchemaError(f"{path}: bad profile entry for {mid!r}: {exc}") from exc
-    return out
+    with schema.located(path):
+        out = {}
+        for mid, obj in schema.read(schema.load_json(path), dict, "a profile").items():
+            with schema.located(f"entry {mid!r}"):
+                out[mid] = MetricResponse(**schema.fields(obj, _RESPONSE, "an entry"))
+        return out
 
 
 @dataclass(frozen=True)
@@ -444,59 +437,24 @@ def _event_to_dict(ev: SceneEvent) -> dict:
     raise InvalidScriptError(f"unknown event type {type(ev).__name__}")
 
 
-def _typed(*types):
-    """Converter that passes values of `types` through and rejects the rest."""
-    def check(value):
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}")
-        return value
-    return check
-
-
-_number = _typed(int, float)
-
-
-def _noise_sigma(value):
-    if isinstance(value, dict):
-        return {str(k): float(v) for k, v in value.items()}
-    return None if value is None else _number(value)
-
-
-def _field(obj: dict, key: str, convert, default=None):
-    """convert(obj.get(key, default)); a failure is a SchemaError naming the field."""
-    value = obj.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"field {key!r}: bad value {value!r} ({exc})") from None
-
-
-@contextmanager
-def _located(where):
-    """Prefix a DataError raised in the block with where the bad input sits."""
-    try:
-        yield
-    except DataError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+def _event_fields(cls) -> dict[str, schema.Field]:
+    """The JSON fields of an event class, declared from its dataclass fields."""
+    return {f.name: schema.Field({"float": float, "str": str}.get(f.type, dict),
+                                 f.default_factory() if f.default_factory is not MISSING
+                                 else schema.REQUIRED if f.default is MISSING else f.default)
+            for f in dataclasses.fields(cls)}
 
 
 def _event_from_dict(obj: dict) -> SceneEvent:
-    if not isinstance(obj, dict):
-        raise SchemaError("an event must be a JSON object")
-    kind = obj.get("kind")
-    cls = _EVENT_KINDS.get(kind)
-    if cls is None:
-        raise SchemaError(f"unknown event kind {kind!r}")
-    kwargs = {k: v for k, v in obj.items() if k != "kind"}
-    for f in dataclasses.fields(cls):
-        if f.type == "float" and f.name in kwargs:
-            _field(kwargs, f.name, _number)
-    if "intensity" in kwargs:
-        _field(kwargs, "intensity", lambda v: [_number(g) for g in _typed(dict)(v).values()])
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise SchemaError(f"bad {kind} event: {exc}") from exc
+    kind = schema.fields(obj, {"kind": schema.Field(str, choices=_EVENT_KINDS)}, "an event")["kind"]
+    declared = _event_fields(_EVENT_KINDS[kind])
+    unknown = sorted(set(obj) - set(declared) - {"kind"})
+    if unknown:
+        raise SchemaError(f"field {unknown[0]!r} is not a {kind} field")
+    values = schema.fields(obj, declared, "an event")
+    for mid, gain in values.get("intensity", {}).items():
+        schema.read(gain, float, f"field 'intensity.{mid}'")
+    return _EVENT_KINDS[kind](**values)
 
 
 def script_to_dict(script: SceneScript) -> dict:
@@ -510,44 +468,47 @@ def script_to_dict(script: SceneScript) -> dict:
     }
 
 
+_SCRIPT = {
+    "scene_type": schema.Field(str, SCENE_VR, choices=(SCENE_VR, SCENE_AR)),
+    "duration_s": schema.Field(int, 30, 1),
+    "seed": schema.Field(int, 0),
+    "fov_width_w": schema.Field(float, DEFAULT_FOV_HALF_WIDTH),
+    "events": schema.Field(list, ()),
+    "noise_sigma": schema.Field((float, dict), None, 0),
+}
+_SPEC = {"classes": schema.Field(list), "repetitions": schema.Field(int, 1, 1),
+         "seed": schema.Field(int, 0)}
+_CLASS = {"label": schema.Field(str), "script": schema.Field(dict)}
+
+
 def script_from_dict(obj: dict) -> SceneScript:
-    if not isinstance(obj, dict):
-        raise SchemaError("scene script must be a JSON object")
+    values = schema.fields(obj, _SCRIPT, "a scene script")
+    if isinstance(values["noise_sigma"], dict):
+        for mid, sigma in values["noise_sigma"].items():
+            schema.read(sigma, float, f"field 'noise_sigma.{mid}'", minimum=0)
     events = []
-    for k, e in enumerate(_field(obj, "events", _typed(list), [])):
-        with _located(f"events[{k}]"):
+    for k, e in enumerate(values.pop("events")):
+        with schema.located(f"events[{k}]"):
             events.append(_event_from_dict(e))
-    return SceneScript(
-        scene_type=obj.get("scene_type", SCENE_VR),
-        duration_s=_field(obj, "duration_s", int, 30),
-        seed=_field(obj, "seed", int, 0),
-        fov_width_w=_field(obj, "fov_width_w", float, DEFAULT_FOV_HALF_WIDTH),
-        events=tuple(events),
-        noise_sigma=_field(obj, "noise_sigma", _noise_sigma),
-    )
+    return SceneScript(events=tuple(events), **values)
 
 
 def load_script(path) -> SceneScript:
-    with open(path, "r", encoding="utf-8") as fh, _located(path):
-        return script_from_dict(json.load(fh))
+    with schema.located(path):
+        return script_from_dict(schema.load_json(path))
 
 
 def corpus_spec_from_dict(obj: dict) -> CorpusSpec:
-    if not isinstance(obj, dict) or "classes" not in obj:
-        raise SchemaError("corpus spec must be an object with 'classes'")
+    values = schema.fields(obj, _SPEC, "a corpus spec")
     classes = []
-    for i, c in enumerate(_field(obj, "classes", _typed(list))):
-        with _located(f"classes[{i}]"):
-            for key in ("label", "script"):
-                if not isinstance(c, dict) or key not in c:
-                    raise SchemaError(f"missing field {key!r}")
-            with _located("script"):
-                classes.append(ClassSpec(str(c["label"]), script_from_dict(c["script"])))
-    return CorpusSpec(classes=tuple(classes),
-                      repetitions=_field(obj, "repetitions", int, 1),
-                      seed=_field(obj, "seed", int, 0))
+    for i, c in enumerate(values.pop("classes")):
+        with schema.located(f"classes[{i}]"):
+            c = schema.fields(c, _CLASS, "a class")
+            with schema.located("script"):
+                classes.append(ClassSpec(c["label"], script_from_dict(c["script"])))
+    return CorpusSpec(classes=tuple(classes), **values)
 
 
 def load_corpus_spec(path) -> CorpusSpec:
-    with open(path, "r", encoding="utf-8") as fh, _located(path):
-        return corpus_spec_from_dict(json.load(fh))
+    with schema.located(path):
+        return corpus_spec_from_dict(schema.load_json(path))

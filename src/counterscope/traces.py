@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import schema
 from .errors import (
     DataError,
     InconsistentMetricsError,
@@ -142,7 +143,7 @@ def read_wide_csv(path, meta: dict[str, str] | None = None) -> TraceSet:
     Raises ParseError(row, col) on non-numeric/non-finite cells or a broken
     time column, RaggedRowsError on inconsistent row widths.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         fields = header.split(",")
         if len(fields) < 2 or fields[0] != "t_s":
@@ -162,16 +163,16 @@ def read_wide_csv(path, meta: dict[str, str] | None = None) -> TraceSet:
             try:
                 t = int(cells[0])
             except ValueError:
-                raise ParseError(lineno, 1, f"bad time value {cells[0]!r}") from None
+                raise ParseError(lineno, 1, f"bad time value {cells[0]!r}", path) from None
             times.append(t)
             vals = []
             for col, cell in enumerate(cells[1:], start=2):
                 try:
                     v = float(cell)
                 except ValueError:
-                    raise ParseError(lineno, col, f"non-numeric cell {cell!r}") from None
+                    raise ParseError(lineno, col, f"non-numeric cell {cell!r}", path) from None
                 if not np.isfinite(v):
-                    raise ParseError(lineno, col, f"non-finite cell {cell!r}")
+                    raise ParseError(lineno, col, f"non-finite cell {cell!r}", path)
                 vals.append(v)
             rows.append(vals)
     if not rows:
@@ -179,8 +180,9 @@ def read_wide_csv(path, meta: dict[str, str] | None = None) -> TraceSet:
     t0 = times[0]
     for k, t in enumerate(times):
         if t != t0 + k:
-            raise ParseError(k + 2, 1, f"time column not 1 Hz consecutive at t={t}")
-    return TraceSet(metrics, np.array(rows, dtype=float), t0, dict(meta or {}))
+            raise ParseError(k + 2, 1, f"time column not 1 Hz consecutive at t={t}", path)
+    with schema.located(path):
+        return TraceSet(metrics, np.array(rows, dtype=float), t0, dict(meta or {}))
 
 
 def write_manifest(corpus: LabeledCorpus, directory, manifest_name: str = "manifest.jsonl",
@@ -203,6 +205,10 @@ def write_manifest(corpus: LabeledCorpus, directory, manifest_name: str = "manif
     return manifest_path
 
 
+_MANIFEST_LINE = {"trace": schema.Field(str), "label": schema.Field(str),
+                  "group": schema.Field(str, "")}
+
+
 def read_manifest(path) -> LabeledCorpus:
     """Load a corpus from a JSON-lines manifest, in manifest order.
 
@@ -210,20 +216,12 @@ def read_manifest(path) -> LabeledCorpus:
     path = os.fspath(path)
     base = os.path.dirname(os.path.abspath(path))
     items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            if "trace" not in obj or "label" not in obj:
-                raise SchemaError(f"{path}:{lineno}: needs 'trace' and 'label'")
-            tpath = os.path.join(base, obj["trace"])
-            if not os.path.exists(tpath):
-                raise MissingTraceFileError(tpath)
-            trace = read_wide_csv(tpath)
-            items.append(CorpusItem(trace, str(obj["label"]), str(obj.get("group", ""))))
-    return LabeledCorpus(items)
+    for lineno, obj in schema.load_json(path, lines=True).items():
+        with schema.located(f"{path}:{lineno}"):
+            line = schema.fields(obj, _MANIFEST_LINE, "a manifest line")
+        tpath = os.path.join(base, line["trace"])
+        if not os.path.exists(tpath):
+            raise MissingTraceFileError(tpath)
+        items.append(CorpusItem(read_wide_csv(tpath), line["label"], line["group"]))
+    with schema.located(path):
+        return LabeledCorpus(items)

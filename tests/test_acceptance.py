@@ -24,11 +24,12 @@ from counterscope.datasets import (
 from counterscope.defense import AccessLog, detect_profiler_access, evaluate_countermeasure
 from counterscope.features import build_stat_features, fit_normalizer
 from counterscope.models import evaluate, kfold_cv, stratified_split, train_rf
-from counterscope.models.mlp import MlpParams, init_params, loss_and_grads
+from counterscope.models.mlp import init_params, loss_and_grads
 from counterscope.selection import correlation_prune
 from counterscope.simulator import avatar_staircase, builtin_profile, simulate
 from counterscope.stats import linreg, pearson, summarize
 from counterscope.stepcount import count_participants, default_min_jumps
+from test_models_mlp import flatten, unflatten
 
 CATALOG = builtin_catalog()
 PROFILE = builtin_profile()
@@ -181,16 +182,16 @@ def test_criterion_7_mlp_gradient_check():
         y_idx = rng.integers(0, 3, 8)
         params = init_params(6, 16, 3, seed=100 + seed)
         _, grads = loss_and_grads(params, X, y_idx)
-        analytic = grads.flat()
+        analytic = flatten(grads)
         eps = 1e-4
         numeric = np.zeros_like(analytic)
-        flat = params.flat()
+        flat = flatten(params)
         for i in range(flat.size):
             up, down = flat.copy(), flat.copy()
             up[i] += eps
             down[i] -= eps
-            lu, _ = loss_and_grads(MlpParams.unflatten(up, 6, 16, 3), X, y_idx)
-            ld, _ = loss_and_grads(MlpParams.unflatten(down, 6, 16, 3), X, y_idx)
+            lu, _ = loss_and_grads(unflatten(up, 6, 16, 3), X, y_idx)
+            ld, _ = loss_and_grads(unflatten(down, 6, 16, 3), X, y_idx)
             numeric[i] = (lu - ld) / (2 * eps)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))

@@ -13,9 +13,15 @@ from counterscope.catalog import (
     MetricDescriptor,
     builtin_catalog,
     load_catalog,
-    write_catalog,
 )
 from counterscope.errors import SchemaError
+
+
+def write_catalog(catalog, path):
+    """The JSON array form load_catalog reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump([{"id": e.id, "display_name": e.display_name, "category": e.category,
+                    "unit": e.unit, "direction": e.direction} for e in catalog], fh)
 
 
 def test_builtin_has_30_entries(catalog):

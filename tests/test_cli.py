@@ -462,6 +462,13 @@ def _spec_with(edit):
     ("negative-sigma", small_corpus_spec(),
      {"gpu_bus_busy": {"b_ar": 1.0, "b_vr": 1.0, "g": 1.0, "delta": 1.0, "sigma": -1.0}},
      "'sigma'"),
+    # bools and lists were once coerced: True to 1, ["x"] to "['x']"
+    ("bool-repetitions", _spec_with(lambda s: s.update(repetitions=True)), None,
+     "'repetitions'"),
+    ("list-label", _spec_with(lambda s: s["classes"][0].update(label=["x"])), None, "'label'"),
+    ("bool-sigma", small_corpus_spec(),
+     {"gpu_bus_busy": {"b_ar": 1.0, "b_vr": 1.0, "g": 1.0, "delta": 1.0, "sigma": True}},
+     "'sigma'"),
 ])
 def test_malformed_inputs_exit_2_naming_file_and_field(tmp_path, capsys, name, spec,
                                                        profile, field):
@@ -476,6 +483,63 @@ def test_malformed_inputs_exit_2_naming_file_and_field(tmp_path, capsys, name, s
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert str(bad_file) in err and field in err, err
+
+
+CATALOG_ENTRY = {"id": "m_one", "display_name": "One", "category": "stalls", "unit": "percent"}
+
+# name: (file content, argv, what the message names besides the file); {bad}
+# is the file, {manifest} and {spec} a small valid corpus and its spec.
+MALFORMED_FILES = {
+    "manifest-line-not-object": ("5\n", ["prune", "--manifest", "{bad}"], ":1: "),
+    "manifest-trace-not-string": ('{"trace": 5, "label": "a"}\n',
+                                  ["prune", "--manifest", "{bad}"], "'trace'"),
+    "manifest-not-json": ('{"trace": "t.csv",\n', ["prune", "--manifest", "{bad}"],
+                          ":1: not valid JSON"),
+    "catalog-id-not-string": (json.dumps([{**CATALOG_ENTRY, "id": 5}]),
+                              ["gen-corpus", "{spec}", "--catalog", "{bad}"], "'id'"),
+    "catalog-not-a-list": (json.dumps(CATALOG_ENTRY),
+                           ["gen-corpus", "{spec}", "--catalog", "{bad}"], "a catalog"),
+    "access-log-not-a-number": ("1.0\nabc\n", ["defend", "detect", "--log", "{bad}"],
+                                "line 2"),
+    "access-log-nan": ("1.0\nnan\n2.0\n", ["defend", "detect", "--log", "{bad}"], "finite"),
+    "trace-bad-cell": ("t_s,gpu_bus_busy\n0,1.0\n1,abc\n", ["count", "--trace", "{bad}"],
+                       "row 3, col 2"),
+    "trace-not-utf8": (b"t_s,gpu_bus_busy\n0,\xff\n", ["count", "--trace", "{bad}"],
+                       "row 2, col 2"),
+    "access-log-not-utf8": (b"1.0\n\xff\n", ["defend", "detect", "--log", "{bad}"], "line 2"),
+    "config-not-json": ("{x", ["cv", "--manifest", "{manifest}", "--config", "{bad}"],
+                        "not valid JSON"),
+    "config-not-object": ("[1]", ["cv", "--manifest", "{manifest}", "--config", "{bad}"],
+                          "a config file"),
+    "grid-not-json": ("[{", ["grid", "--manifest", "{manifest}", "--grid", "{bad}"],
+                      "not valid JSON"),
+    "grid-entry-not-object": ("[5]", ["grid", "--manifest", "{manifest}", "--grid", "{bad}"],
+                              "entry 0"),
+    "model-not-json": ("{x", ["eval", "--manifest", "{manifest}", "--model-file", "{bad}"],
+                       "not valid JSON"),
+    "profile-not-json": ("{x", ["gen-corpus", "{spec}", "--profile", "{bad}"],
+                         "not valid JSON"),
+    "script-not-json": ("{x", ["simulate", "{bad}"], "not valid JSON"),
+    "spec-not-json": ("{x", ["gen-corpus", "{bad}"], "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_FILES))
+def test_malformed_file_exits_2_naming_file_and_field(tmp_path, capsys, name):
+    """Every input file the CLI reads exits 2, never 3, on a malformed
+    value or a syntax error, naming the file and the field or line."""
+    content, argv, field = MALFORMED_FILES[name]
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    paths = {"bad": str(bad), "spec": str(tmp_path / "spec.json"), "manifest": ""}
+    if "{manifest}" in argv:
+        paths["manifest"] = _gen_small_corpus(tmp_path)
+    else:
+        (tmp_path / "spec.json").write_text(json.dumps(small_corpus_spec()))
+    capsys.readouterr()
+    assert run_cli([a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and field in err, err
 
 
 def test_count_under_partial_profile_falls_back(tmp_path):
@@ -547,6 +611,13 @@ def _eval_model_file(tmp_path, **context):
     return manifest, path, corpus
 
 
+def _rename_first_metric(payload):
+    """Renames the first metric in 'metrics' and 'normalizer' alike, to one
+    the corpus lacks."""
+    payload["normalizer"]["not_a_metric"] = payload["normalizer"].pop(payload["metrics"][0])
+    payload["metrics"][0] = "not_a_metric"
+
+
 def _envelope(key, value):
     return {"edit": lambda payload: payload.update({key: value})}
 
@@ -566,6 +637,7 @@ def _envelope(key, value):
      "'normalizer.gpu_bus_busy'"),
     (_envelope("metrics", "abc"), "'metrics'"),
     (_envelope("layout", "stat9"), "'layout'"),
+    ({"edit": _rename_first_metric}, "'metrics'"),
 ])
 def test_eval_refuses_to_coerce(tmp_path, capsys, context, field):
     context = dict(context)
@@ -623,16 +695,25 @@ def _first_leaf(node):
      "'trees[0].feature'"),
     ("feature-negative", lambda body: body["trees"][0].update(feature=-1),
      "'trees[0].feature'"),
+    # other families: "<kind>:<case>"
+    ("svm:weights-row-missing", lambda body: body["weights"].pop(), "'weights'"),
+    ("svm:bias-bool", lambda body: body["biases"].__setitem__(0, True), "'biases'"),
+    ("knn:k-0", lambda body: body.update(k=0), "'k'"),
+    ("knn:k-string", lambda body: body.update(k="3"), "'k'"),
+    ("knn:train-y-not-a-class", lambda body: body["train_y"].__setitem__(0, 2), "'train_y[0]'"),
+    ("mlp:w2-wrong-shape", lambda body: body["w2"].pop(), "'w2'"),
+    ("mlp:classes-not-strings", lambda body: body.update(classes=[0, 1]), "'classes[0]'"),
 ])
 def test_malformed_rf_model_body_exits_2(tmp_path, capsys, name, corrupt, field):
-    """eval refuses a corrupted rf model.json with exit 2, naming the file
-    and the field."""
+    """eval refuses a corrupted model.json of every family (rf unless the
+    case names another) with exit 2, naming the file and the field."""
+    kind = name.partition(":")[0] if ":" in name else "rf"
     manifest = _gen_small_corpus(tmp_path)
     assert run_cli(["train", "--manifest", manifest, "--out", str(tmp_path / "m"),
-                    "--trees", "3", "--seed", "1"]) == 0
+                    "--model", kind, "--trees", "3", "--seed", "1"]) == 0
     path = tmp_path / "m" / "model.json"
     payload = json.loads(path.read_text())
-    assert "feature" in payload["model"]["trees"][0]  # the root splits
+    assert kind != "rf" or "feature" in payload["model"]["trees"][0]  # the root splits
     corrupt(payload["model"])
     path.write_text(json.dumps(payload))
     capsys.readouterr()

@@ -133,6 +133,10 @@ PROBES = {
     "flag-negative-epochs": (["train", "--model", "svm", "--epochs", "-1"], None, None,
                              "--epochs"),
     "levels": (["defend", "curve", "--levels", "a,b"], None, None, "levels"),
+    # a string outside its choices, checked where it is read
+    "config-bad-layout": (["cv", "--k", "2"], {"layout": "stat9"}, None, "'layout'"),
+    "config-bad-model": (["train"], {"model": "xyz"}, None, "'model'"),
+    "config-bad-strategy": (["defend", "inject"], {"strategy": "xyz"}, None, "'strategy'"),
 }
 
 
@@ -140,7 +144,7 @@ PROBES = {
 def test_wrong_value_exits_2_naming_source_and_key(manifest, tmp_path, capsys, name):
     argv, config, grid, where = PROBES[name]
     argv = argv + ["--out", str(tmp_path / "out")]
-    if argv[0] == "count":
+    if argv[0] == "count" or argv[:2] == ["defend", "inject"]:
         traces = os.path.join(os.path.dirname(manifest), "traces")
         argv += ["--trace", os.path.join(traces, sorted(os.listdir(traces))[0])]
     else:

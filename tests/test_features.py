@@ -67,8 +67,8 @@ class TestStatFeatures:
     def test_widths(self):
         corpus = corpus_of([[[1, 2], [3, 4]]])
         norm = fit_normalizer(corpus, ["m_a", "m_b"])
-        assert build_stat_features(corpus, ["m_a", "m_b"], norm, "stat4").n_cols == 8
-        assert build_stat_features(corpus, ["m_a", "m_b"], norm, "stat2").n_cols == 4
+        assert build_stat_features(corpus, ["m_a", "m_b"], norm, "stat4").values.shape[1] == 8
+        assert build_stat_features(corpus, ["m_a", "m_b"], norm, "stat2").values.shape[1] == 4
 
     def test_constant_metric_all_zero_features(self):
         corpus = corpus_of([[[7, 7, 7], [1, 2, 3]]])

@@ -5,18 +5,27 @@ from counterscope.models.mlp import MlpParams, init_params, loss_and_grads
 from counterscope.models.serialize import load_model, save_model
 
 
+def flatten(params):
+    return np.concatenate([p.reshape(-1) for p in (params.w1, params.b1, params.w2, params.b2)])
+
+
+def unflatten(vec, d, h, c):
+    parts = np.split(vec, np.cumsum([d * h, h, h * c, c])[:-1])
+    return MlpParams(parts[0].reshape(d, h), parts[1], parts[2].reshape(h, c), parts[3])
+
+
 def finite_difference_gradient(params, X, y_idx, eps=1e-4):
     d, h = params.w1.shape
     c = params.w2.shape[1]
-    flat = params.flat()
+    flat = flatten(params)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         up = flat.copy()
         up[i] += eps
         down = flat.copy()
         down[i] -= eps
-        loss_up, _ = loss_and_grads(MlpParams.unflatten(up, d, h, c), X, y_idx)
-        loss_down, _ = loss_and_grads(MlpParams.unflatten(down, d, h, c), X, y_idx)
+        loss_up, _ = loss_and_grads(unflatten(up, d, h, c), X, y_idx)
+        loss_down, _ = loss_and_grads(unflatten(down, d, h, c), X, y_idx)
         grad[i] = (loss_up - loss_down) / (2.0 * eps)
     return grad
 
@@ -34,7 +43,7 @@ def test_gradient_check_10_random_batches():
         params = init_params(6, 16, 3, seed=100 + seed)
         _, grads = loss_and_grads(params, X, y_idx)
         numeric = finite_difference_gradient(params, X, y_idx)
-        assert max_relative_error(grads.flat(), numeric) < 1e-4
+        assert max_relative_error(flatten(grads), numeric) < 1e-4
 
 
 def test_probabilities_sum_to_one():

@@ -1,0 +1,191 @@
+"""Fuzz the CLI's input files from the declarations the readers use.
+
+Each case starts from a valid input file (spec, script, profile, catalog,
+config, grid, manifest, or a model file of each family) and breaks it once:
+a value of the wrong kind, a number below its declared minimum, a required
+key removed, a string outside its choices, or an object replaced by a list.
+The CLI must exit 2 naming the file and the field, and never 3.
+"""
+
+import copy
+import json
+import os
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from counterscope import catalog, cli, simulator, traces
+from counterscope.models import FAMILIES, forest, serialize
+from counterscope.schema import REQUIRED, Field
+
+SPEC = {"seed": 3, "repetitions": 2, "classes": [
+    {"label": label, "script": {"scene_type": "vr", "duration_s": 12, "events": [
+        {"kind": "app_session", "app_id": label, "t_start": 2, "t_end": 9,
+         "intensity": {metric: 0.9}}]}}
+    for label, metric in (("appA", "gpu_bus_busy"), ("appB", "texture_l2_miss"))]}
+SCRIPT = {"scene_type": "ar", "duration_s": 15, "seed": 1, "fov_width_w": 8.0,
+          "noise_sigma": 0.5, "events": [
+              {"kind": "object_sweep", "size_s": 2.0, "speed_v": 1.0, "depth_z": 2.0,
+               "x_start": -5.0, "x_end": 5.0, "t_start": 1.0},
+              {"kind": "static_object", "size_s": 1.0, "depth_z": 2.0, "t_start": 2.0,
+               "t_end": 6.0},
+              {"kind": "avatar_join", "t_join": 4.0},
+              {"kind": "app_session", "app_id": "a", "t_start": 3.0, "t_end": 8.0,
+               "intensity": {"gpu_bus_busy": 0.5}}]}
+PROFILE = {"gpu_bus_busy": {"b_ar": 34.0, "b_vr": 30.0, "g": 55.0, "delta": 8.0, "sigma": 1.0}}
+CATALOG = [{"id": "gpu_bus_busy", "display_name": "GPU % Bus Busy",
+            "category": "gpu_utilization", "unit": "percent"},
+           {"id": "texture_l2_miss", "display_name": "% Texture L2 Miss",
+            "category": "stalls", "unit": "percent", "direction": "increases_with_load"}]
+CONFIG = {"model": "rf", "layout": "stat2", "trees": 2, "max_depth": 3}
+INJECT_CONFIG = {"strategy": "gaussian", "sigma": 1.0}
+GRID = [{"n_trees": 2, "max_depth": 3, "seed": 1}]
+
+
+def _params(kind, key):
+    """A family's parameters as declared fields, by flag key or trainer keyword."""
+    return {getattr(p, key): Field(p.kind, p.default, p.minimum) for p in FAMILIES[kind].params}
+
+
+def _event_targets(prefix, events):
+    return [((*prefix, "events", k), simulator._event_fields(simulator._EVENT_KINDS[e["kind"]]),
+             f"events[{k}]") for k, e in enumerate(events)]
+
+
+def _body_fields(kind):
+    """A model body's keys, each required, with the kind its JSON value has."""
+    model = FAMILIES[kind].trainer(np.eye(4), ["a", "a", "b", "b"],
+                                   **({"k": 1} if kind == "knn" else {}))
+    return {key: Field(type(value)) for key, value in model.to_dict().items()}
+
+
+# file kind: [(JSON path of an object, its declared fields, the name a
+# message gives that object)]
+TARGETS = {
+    "spec": [((), simulator._SPEC, ""), (("classes", 0), simulator._CLASS, "classes[0]"),
+             (("classes", 0, "script"), simulator._SCRIPT, "script"),
+             *_event_targets(("classes", 0, "script"), SPEC["classes"][0]["script"]["events"])],
+    "script": [((), simulator._SCRIPT, ""), *_event_targets((), SCRIPT["events"])],
+    "profile": [(("gpu_bus_busy",), simulator._RESPONSE, "'gpu_bus_busy'")],
+    "catalog": [((1,), catalog._ENTRY, "entry 1")],
+    # the run seed is any integer (reduced modulo 2**64), so only the
+    # trainer's own parameters are taken from the family
+    "config": [((), {**{k: f for k, f in _params("rf", "key").items() if k != "seed"},
+                     "model": Field(str, "rf", choices=FAMILIES),
+                     "layout": Field(str, "stat4", choices=cli._CHOICES["layout"])}, "")],
+    "inject-config": [((), {"strategy": Field(str, "gaussian",
+                                              choices=cli._CHOICES["strategy"]),
+                            "sigma": Field(float, 1.0)}, "")],
+    "grid": [((0,), _params("rf", "arg"), "entry 0")],
+    "manifest": [((0,), traces._MANIFEST_LINE, ":1:")],
+    **{f"model-{kind}": [((), serialize._ENVELOPE, ""), (("model",), {
+        **_body_fields(kind), **(forest._BODY if kind == "rf" else {})}, "'model'")]
+       for kind in FAMILIES},
+}
+
+# values of each kind that a slot of another kind must refuse
+WRONG = {int: ["x", 1.5, True, [1], {}], float: ["x", True, [1.0], {}],
+         str: [1, True, ["x"], {}], list: ["x", 1, {}], dict: ["x", 1, [1]]}
+
+
+def _mutations():
+    for name, targets in TARGETS.items():
+        for path, declared, container in targets:
+            yield name, path, None, "non-object", [], container
+            for key, f in declared.items():
+                kinds = f.kind if isinstance(f.kind, tuple) else (f.kind,)
+                for value in [v for k in kinds for v in WRONG[k]]:
+                    if not any(isinstance(value, k) and not isinstance(value, bool)
+                               or k is float and type(value) is int for k in kinds):
+                        yield name, path, key, "wrong-kind", value, f"'{key}'"
+                if f.minimum is not None:
+                    yield name, path, key, "below-minimum", f.minimum - 1, f"'{key}'"
+                if f.default is REQUIRED:
+                    yield name, path, key, "missing", None, f"'{key}'"
+                if f.choices is not None:
+                    yield name, path, key, "bad-choice", "not_a_choice", f"'{key}'"
+                if f.default is not None and not f.nullable:
+                    yield name, path, key, "null", None, f"'{key}'"
+
+
+MUTATIONS = list(_mutations())
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """The valid documents of every file kind, and the files the commands
+    need besides the one under test."""
+    root = tmp_path_factory.mktemp("fuzz")
+    spec = root / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    assert cli.main(["gen-corpus", str(spec), "--out", str(root / "corp")]) == 0
+    manifest = str(root / "corp" / "manifest.jsonl")
+    with open(manifest) as fh:
+        lines = [json.loads(line) for line in fh]
+    docs = {"spec": SPEC, "script": SCRIPT, "profile": PROFILE, "catalog": CATALOG,
+            "config": CONFIG, "inject-config": INJECT_CONFIG, "grid": GRID, "manifest": lines}
+    for kind in FAMILIES:
+        out = root / f"model-{kind}"
+        assert cli.main(["train", "--manifest", manifest, "--model", kind, "--trees", "2",
+                         "--neighbors", "1", "--epochs", "1", "--out", str(out)]) == 0
+        docs[f"model-{kind}"] = json.loads((out / "model.json").read_text())
+    trace = os.path.join(root, "corp", lines[0]["trace"])
+    return root, docs, {"spec": str(spec), "manifest": manifest, "trace": trace}
+
+
+def _argv(name, bad, files):
+    if name.startswith("model-"):
+        return ["eval", "--manifest", files["manifest"], "--model-file", bad]
+    return {
+        "spec": ["gen-corpus", bad],
+        "script": ["simulate", bad],
+        "profile": ["gen-corpus", files["spec"], "--profile", bad],
+        "catalog": ["gen-corpus", files["spec"], "--catalog", bad],
+        "config": ["cv", "--manifest", files["manifest"], "--k", "2", "--config", bad],
+        "inject-config": ["defend", "inject", "--trace", files["trace"], "--config", bad],
+        "grid": ["grid", "--manifest", files["manifest"], "--k", "2", "--grid", bad],
+        "manifest": ["prune", "--manifest", bad],
+    }[name]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(mutation=st.sampled_from(MUTATIONS))
+def test_one_mutation_exits_2_naming_file_and_field(valid, capsys, mutation):
+    name, path, key, how, value, named = mutation
+    root, docs, files = valid
+    doc = copy.deepcopy(docs[name])
+    parent, last = None, None
+    target = doc
+    for step in path:
+        parent, last, target = target, step, target[step]
+    if key is None:
+        if parent is None:
+            doc = value
+        else:
+            parent[last] = value
+    elif how == "missing":
+        del target[key]
+    else:
+        target[key] = value
+    # a manifest sits next to its traces, whose paths are relative to it
+    bad = os.path.join(os.path.dirname(files["manifest"]) if name == "manifest" else root,
+                       f"bad-{name}.json")
+    with open(bad, "w") as fh:
+        if name == "manifest":
+            fh.write("".join(json.dumps(line) + "\n" for line in doc))
+        else:
+            json.dump(doc, fh)
+    capsys.readouterr()
+    code = cli.main(_argv(name, bad, files) + ["--out", os.path.join(root, "out")])
+    err = capsys.readouterr().err
+    assert code == 2, (mutation, err)
+    assert bad in err and named in err, (mutation, err)
+
+
+def test_every_file_kind_and_mutation_is_drawn_from():
+    assert {m[0] for m in MUTATIONS} == set(TARGETS)
+    assert {m[3] for m in MUTATIONS} == {"non-object", "wrong-kind", "below-minimum", "missing",
+                                         "bad-choice", "null"}

@@ -143,8 +143,9 @@ class TestManifest:
         path.write_text(
             json.dumps({"trace": "t1.csv", "label": "a", "group": ""}) + "\n"
             + json.dumps({"trace": "t2.csv", "label": "b", "group": ""}) + "\n")
-        with pytest.raises(InconsistentMetricsError):
+        with pytest.raises(InconsistentMetricsError) as err:
             read_manifest(path)
+        assert str(path) in str(err.value)
 
     def test_manifest_order_preserved(self, tmp_path):
         corpus = self.build_corpus(lengths=(4, 4, 4), labels=("z", "m", "a"))
