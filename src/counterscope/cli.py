@@ -29,7 +29,7 @@ from .defense import (
     inject_noise,
     read_access_log,
 )
-from .errors import DataError, DegenerateInputError
+from .errors import DataError, DegenerateInputError, SchemaError, UnknownLabelError
 from .features import (
     LAYOUT_SEQUENCE,
     LAYOUT_STAT4,
@@ -116,16 +116,22 @@ class RunConfig:
     def get(self, key: str, default=None, kind: type | None = None, minimum=None):
         """The flag, else the config file's value, else `default`, read as
         `kind` (by default the type of `default`) by schema.read."""
-        value, where = getattr(self.args, key, None), "--" + key.replace("_", "-")
+        value = getattr(self.args, key, None)
         if value is None:
             value = self.file_values.get(key, default)
-            where = f"{self.args.config}: field {key!r}"
         if value is not default:  # a default needs no check
             kind = kind or type(default)
-            value = schema.read(value, kind, where, minimum, _CHOICES.get(key), default is None)
+            value = schema.read(value, kind, self.where(key), minimum, _CHOICES.get(key),
+                                default is None)
             value = float(value) if kind is float and value is not None else value
         self.resolved[key] = value
         return value
+
+    def where(self, key: str) -> str:
+        """Where the value of `key` came from: its flag, else the config file."""
+        if getattr(self.args, key, None) is not None:
+            return "--" + key.replace("_", "-")
+        return f"{self.args.config}: field {key!r}"
 
     def seed(self) -> int:
         """The seed reduced modulo 2**64, as derive_seed does: -1 is 2**64 - 1."""
@@ -310,6 +316,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     except DegenerateInputError as exc:  # the model's own feature-width check
         raise DataError(f"{path}: field 'model' does not fit its metrics and "
                         f"layout: {exc}") from None
+    except UnknownLabelError as exc:
+        raise UnknownLabelError(f"{cfg.args.manifest}: {exc} ({path}: field 'classes')") from None
     _report_outputs(report, out)
     cfg.write_effective(out, "eval")
     print(f"accuracy {report.accuracy:.4f}  macro-F1 {report.macro_f1:.4f}")
@@ -382,7 +390,7 @@ def cmd_count(cfg: RunConfig) -> int:
     trace = read_wide_csv(cfg.args.trace)
     catalog = cfg.catalog()
     window = cfg.get("window", 3)
-    gap = cfg.get("gap", 3)
+    gap = cfg.get("gap", 3, minimum=0)
     min_jump = cfg.get("min_jump", None, float)
     jumps = (min_jump if min_jump is not None
              else default_min_jumps(cfg.profile(), metrics=trace.metrics))
@@ -449,7 +457,7 @@ def cmd_defend_detect(cfg: RunConfig) -> int:
     log = read_access_log(cfg.args.log)
     verdict = detect_profiler_access(
         log,
-        min_events=cfg.get("min_events", 20),
+        min_events=cfg.get("min_events", 20, minimum=1),
         cv_threshold=cfg.get("cv_threshold", 0.1),
         expected_period_s=cfg.get("expected_period", 1.0),
         period_tolerance=cfg.get("period_tolerance", 0.25))
@@ -460,15 +468,25 @@ def cmd_defend_detect(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _levels(cfg: RunConfig) -> list[float]:
+    """The noise levels: comma-separated sigma multipliers, each a finite
+    number >= 0."""
+    raw, where = cfg.get("levels", "0,2,5,10,25"), cfg.where("levels")
+    levels = []
+    for i, text in enumerate(raw.split(",")):
+        try:
+            value = float(text)
+        except ValueError:
+            raise SchemaError(f"{where}: entry {i} must be a number, got {text!r}") from None
+        levels.append(schema.read(value, float, f"{where}: entry {i}", minimum=0))
+    return levels
+
+
 def cmd_defend_curve(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     corpus = read_manifest(cfg.args.manifest)
     seed = cfg.seed()
-    raw_levels = cfg.get("levels", "0,2,5,10,25")
-    try:
-        sigmas = [float(s) for s in raw_levels.split(",")]
-    except ValueError:
-        raise DataError(f"levels must be comma-separated numbers, got {raw_levels!r}") from None
+    sigmas = _levels(cfg)
     from .seeding import derive_seed
 
     strategies = [GaussianNoise(s, seed=derive_seed(seed, i))

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import schema
 from .errors import DataError, UnknownMetricError
-from .stats import summarize
 from .traces import LabeledCorpus, TraceSet
 
 LAYOUT_STAT4 = "stat4"
@@ -114,11 +113,16 @@ def build_stat_features(corpus: LabeledCorpus, metrics: list[str],
     _check_metrics(corpus.metrics, metrics)
     suffixes = _STAT_SUFFIXES[layout]
     col_names = [f"{m}_{s}" for m in metrics for s in suffixes]
-    rows = np.empty((len(corpus), len(col_names)))
+    rows = np.empty((len(corpus), len(metrics), len(suffixes)))
     for i, item in enumerate(corpus):
-        stats = [summarize(norm.apply(m, item.trace.values(m))) for m in metrics]
-        rows[i] = [v for s in stats for v in s[:len(suffixes)]]
-    return FeatureMatrix(rows, col_names, layout)
+        # one contiguous row per metric: reducing along it sums each series
+        # pairwise, as the 1-D series would, so the moments are bit-equal
+        block = np.empty((len(metrics), item.trace.n_seconds))
+        for j, m in enumerate(metrics):
+            block[j] = norm.apply(m, item.trace.values(m))
+        moments = (block.mean(axis=1), block.std(axis=1), block.max(axis=1), block.min(axis=1))
+        rows[i] = np.stack(moments[:len(suffixes)], axis=1)
+    return FeatureMatrix(rows.reshape(len(corpus), len(col_names)), col_names, layout)
 
 
 def build_sequences(corpus: LabeledCorpus, metrics: list[str],

@@ -8,13 +8,19 @@ meta map is an annotation and does not participate.
 Wide CSV is the canonical on-disk format: header ``t_s,<id1>,<id2>,...``,
 one row per second, LF line endings, no quoting. Values are written with
 Python's shortest round-trip float repr, so write -> read reproduces every
-value bit-for-bit. Labeled corpora are described by a JSON-lines manifest,
-one ``{"trace": <relative path>, "label": ..., "group": ...}`` per line.
+value bit-for-bit. A trace is written as one string and read as one block:
+numpy converts every value cell at once, parsing each as float() does, and
+one finiteness check covers the matrix. Only a block that fails is walked
+cell by cell, to name the first bad row in file order and its column.
+
+Labeled corpora are described by a JSON-lines manifest, one
+``{"trace": <relative path>, "label": ..., "group": ...}`` per line.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -123,18 +129,12 @@ class LabeledCorpus:
         return np.concatenate([it.trace.values(metric) for it in self.items])
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def write_wide_csv(trace: TraceSet, path) -> None:
     """Write the wide-CSV form of a trace (values round-trip bit-exactly)."""
+    lines = [f"{trace.t0 + k}," + ",".join(map(repr, row))
+             for k, row in enumerate(trace.matrix.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_s," + ",".join(trace.metrics) + "\n")
-        for k in range(trace.n_seconds):
-            row = [str(trace.t0 + k)]
-            row.extend(_format_value(v) for v in trace.matrix[k])
-            fh.write(",".join(row) + "\n")
+        fh.write("t_s," + ",".join(trace.metrics) + "\n" + "\n".join(lines) + "\n")
 
 
 def read_wide_csv(path, meta: dict[str, str] | None = None) -> TraceSet:
@@ -145,36 +145,22 @@ def read_wide_csv(path, meta: dict[str, str] | None = None) -> TraceSet:
     """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
-        fields = header.split(",")
-        if len(fields) < 2 or fields[0] != "t_s":
-            raise SchemaError(f"{path}: header must be 't_s,<id1>,...'")
-        metrics = fields[1:]
-        width = len(fields)
-        rows = []
-        times = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != width:
-                raise RaggedRowsError(
-                    f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
-            try:
-                t = int(cells[0])
-            except ValueError:
-                raise ParseError(lineno, 1, f"bad time value {cells[0]!r}", path) from None
-            times.append(t)
-            vals = []
-            for col, cell in enumerate(cells[1:], start=2):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(lineno, col, f"non-numeric cell {cell!r}", path) from None
-                if not np.isfinite(v):
-                    raise ParseError(lineno, col, f"non-finite cell {cell!r}", path)
-                vals.append(v)
-            rows.append(vals)
+        lines = fh.read().split("\n")
+    fields = header.split(",")
+    if len(fields) < 2 or fields[0] != "t_s":
+        raise SchemaError(f"{path}: header must be 't_s,<id1>,...'")
+    width = len(fields)
+    rows = [line.split(",") for line in lines if line]
+    matrix = None
+    if all(len(cells) == width for cells in rows):
+        try:
+            times = [int(cells[0]) for cells in rows]
+            # parses each str as float() does: same values, same cells rejected
+            matrix = np.array([cells[1:] for cells in rows], dtype=float)
+        except ValueError:
+            pass
+    if matrix is None or not np.isfinite(matrix).all():
+        raise _first_bad_row(path, lines, width)
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     t0 = times[0]
@@ -182,7 +168,31 @@ def read_wide_csv(path, meta: dict[str, str] | None = None) -> TraceSet:
         if t != t0 + k:
             raise ParseError(k + 2, 1, f"time column not 1 Hz consecutive at t={t}", path)
     with schema.located(path):
-        return TraceSet(metrics, np.array(rows, dtype=float), t0, dict(meta or {}))
+        return TraceSet(fields[1:], matrix, t0, dict(meta or {}))
+
+
+def _first_bad_row(path, lines: list[str], width: int) -> DataError:
+    """The error of the first bad row in file order, found cell by cell: a
+    ragged row, a bad time value, or a non-numeric or non-finite cell."""
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            return RaggedRowsError(
+                f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
+        try:
+            int(cells[0])
+        except ValueError:
+            return ParseError(lineno, 1, f"bad time value {cells[0]!r}", path)
+        for col, cell in enumerate(cells[1:], start=2):
+            try:
+                v = float(cell)
+            except ValueError:
+                return ParseError(lineno, col, f"non-numeric cell {cell!r}", path)
+            if not math.isfinite(v):
+                return ParseError(lineno, col, f"non-finite cell {cell!r}", path)
+    raise AssertionError(f"{path}: numpy and float() disagree on a cell")
 
 
 def write_manifest(corpus: LabeledCorpus, directory, manifest_name: str = "manifest.jsonl",

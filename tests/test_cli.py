@@ -671,6 +671,21 @@ def test_eval_width_mismatch_on_wider_corpus(tmp_path, capsys):
     assert path in err and "feature width 120 != model width 12" in err, err
 
 
+def test_eval_unknown_labels_names_manifest_and_model(tmp_path, capsys):
+    manifest, path, _ = _eval_model_file(tmp_path)
+    spec = small_corpus_spec()
+    spec["classes"][1]["label"] = "appC"
+    (tmp_path / "other.json").write_text(json.dumps(spec))
+    other = str(tmp_path / "other")
+    assert run_cli(["gen-corpus", str(tmp_path / "other.json"), "--out", other]) == 0
+    other_manifest = os.path.join(other, "manifest.jsonl")
+    assert run_cli(["eval", "--manifest", other_manifest, "--model-file", path,
+                    "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert other_manifest in err and f"{path}: field 'classes'" in err, err
+    assert "['appC']" in err, err
+
+
 def _drop(key):
     return lambda body: body.pop(key)
 

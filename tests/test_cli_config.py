@@ -133,6 +133,17 @@ PROBES = {
     "flag-negative-epochs": (["train", "--model", "svm", "--epochs", "-1"], None, None,
                              "--epochs"),
     "levels": (["defend", "curve", "--levels", "a,b"], None, None, "levels"),
+    # a number below its bound or not finite, read before as a plain int or float
+    "flag-negative-gap": (["count", "--gap", "-1"], None, None, "--gap"),
+    "config-negative-gap": (["count"], {"gap": -1}, None, "'gap'"),
+    "flag-negative-min-events": (["defend", "detect", "--min-events", "-1"], None, None,
+                                 "--min-events"),
+    "config-zero-min-events": (["defend", "detect"], {"min_events": 0}, None, "'min_events'"),
+    "flag-nan-level": (["defend", "curve", "--levels", "0,nan"], None, None,
+                       "--levels: entry 1"),
+    "flag-negative-level": (["defend", "curve", "--levels=-1"], None, None, "--levels: entry 0"),
+    "config-infinite-level": (["defend", "curve"], {"levels": "0,1e500"}, None,
+                              "'levels': entry 1"),
     # a string outside its choices, checked where it is read
     "config-bad-layout": (["cv", "--k", "2"], {"layout": "stat9"}, None, "'layout'"),
     "config-bad-model": (["train"], {"model": "xyz"}, None, "'model'"),
@@ -147,6 +158,10 @@ def test_wrong_value_exits_2_naming_source_and_key(manifest, tmp_path, capsys, n
     if argv[0] == "count" or argv[:2] == ["defend", "inject"]:
         traces = os.path.join(os.path.dirname(manifest), "traces")
         argv += ["--trace", os.path.join(traces, sorted(os.listdir(traces))[0])]
+    elif argv[:2] == ["defend", "detect"]:
+        log = tmp_path / "access.log"
+        log.write_text("".join(f"{t}.0\n" for t in range(30)))
+        argv += ["--log", str(log)]
     else:
         argv += ["--manifest", manifest]
     if config is not None:

@@ -101,6 +101,37 @@ class TestStatFeatures:
             build_sequences(corpus, ["m_zzz"], norm)
 
 
+    @pytest.mark.parametrize("layout, width", [("stat4", 4), ("stat2", 2)])
+    def test_bit_equal_to_per_series_summarize(self, layout, width):
+        """The reduction over each item's (metrics, seconds) block gives the
+        bytes one summarize() call per series gives: lengths 1-40 and a few
+        long enough for pairwise summation to split, unequal items, and a
+        constant metric (sigma 0)."""
+        from counterscope.stats import summarize
+
+        rng = np.random.default_rng(11)
+        metrics = ("m_a", "m_b", "m_const", "m_c")
+        lengths = [*range(1, 41), 129, 600, 9000]
+        cols = [[rng.standard_normal(n) * 1e3 + 7, rng.exponential(size=n),
+                 np.full(n, 4.25), rng.standard_normal(n) * 1e-7] for n in lengths]
+        corpus = corpus_of(cols, metrics)
+        norm = fit_normalizer(corpus, list(metrics))
+        assert norm.stats["m_const"][1] == 0.0
+        chosen = ["m_c", "m_const", "m_a", "m_b"]
+        fm = build_stat_features(corpus, chosen, norm, layout)
+        want = np.array([[v for m in chosen
+                          for v in summarize(norm.apply(m, item.trace.values(m)))[:width]]
+                         for item in corpus])
+        assert fm.values.shape == want.shape
+        assert fm.values.tobytes() == want.tobytes()
+
+    def test_no_metrics_or_no_items(self):
+        corpus = corpus_of([[[1, 2], [3, 4]]])
+        norm = fit_normalizer(corpus, ["m_a"])
+        assert build_stat_features(corpus, [], norm).values.shape == (1, 0)
+        assert build_stat_features(corpus.subset([]), [], norm).values.shape == (0, 0)
+
+
 class TestLeakageGuard:
     def test_train_stats_on_train_data(self):
         rng = np.random.default_rng(8)

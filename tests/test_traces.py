@@ -110,6 +110,122 @@ class TestWideCsv:
             assert read_wide_csv(path) == t
 
 
+# values around repr's switch between positional and scientific notation
+# (exponent -5 and 16), signed zero, subnormals and the extremes
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                1e-5, 1e-05 * (1 + 2**-52), 0.0001, 9.999999999999999e-05,
+                1e16, 9999999999999998.0, 1e16 + 2, -1e16, 1.7976931348623157e308, 0.1]
+_values = st.one_of(st.sampled_from(_EDGE_VALUES),
+                    st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+@st.composite
+def _traces(draw):
+    n_metrics = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_values, min_size=n_metrics, max_size=n_metrics),
+                         min_size=1, max_size=15))
+    t0 = draw(st.one_of(st.integers(-100, 100), st.integers(-2**62, 2**62)))
+    return make_trace(rows, [f"m{j}" for j in range(n_metrics)], t0)
+
+
+def _outcome(reader, path):
+    """A read's TraceSet as comparable bytes, or its error's class, message,
+    row and column."""
+    try:
+        t = reader(path)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return t.metrics, t.t0, t.matrix.shape, t.matrix.tobytes()
+
+
+_BAD_CELLS = ["oops", "", " ", "1..2", "0x1f", "1e", "nan", "NaN", "inf", "-inf",
+              "Infinity", "1e500", "-1e500", "1_0", "1__0", " 2.5 ", "\u0662", "+.5", "1e-400"]
+_BAD_TIMES = ["x", "1.0", "1e3", "", " 4 ", "1_0", "+7"]
+
+
+@st.composite
+def _malformed_bodies(draw):
+    """(bytes, n_seconds) of a wide CSV whose body carries 1 to 4 faults."""
+    n_metrics = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 8))
+    t0 = draw(st.integers(-5, 5))
+    rows = [[str(t0 + k)] + [repr(draw(_values)) for _ in range(n_metrics)]
+            for k in range(n_rows)]
+    for _ in range(draw(st.integers(1, 4))):
+        r = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["cell", "time", "cadence", "ragged", "blank",
+                                      "undecodable"]))
+        if rows[r] == []:  # a blank line takes no fault but another blank
+            fault = "blank"
+        if fault == "cell" and len(rows[r]) > 1:
+            rows[r][draw(st.integers(1, len(rows[r]) - 1))] = draw(st.sampled_from(_BAD_CELLS))
+        elif fault in ("cell", "time"):
+            rows[r][0] = draw(st.sampled_from(_BAD_TIMES))
+        elif fault == "cadence":
+            rows[r][0] = str(draw(st.integers(-10, 10)))
+        elif fault == "ragged":
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1.0"]
+        elif fault == "blank":
+            rows.insert(r, [])
+        else:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] += "\udcff"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = "t_s," + ",".join(f"m{j}" for j in range(n_metrics))
+    text = newline.join([header] + [",".join(row) for row in rows])
+    text += draw(st.sampled_from(["", newline, newline * 2]))
+    return text.encode("utf-8", "surrogateescape")
+
+
+class TestAgainstCellReference:
+    """The block reader and writer against the old cell-at-a-time code in
+    trace_reference.py: same bytes, same values, same errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_traces())
+    def test_valid_traces_match_reference(self, trace):
+        from trace_reference import read_reference, write_reference
+
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = os.path.join(tmp, "ours.csv"), os.path.join(tmp, "ref.csv")
+            write_wide_csv(trace, ours)
+            write_reference(trace, ref)
+            with open(ours, "rb") as a, open(ref, "rb") as b:
+                assert a.read() == b.read()
+            assert _outcome(read_wide_csv, ours) == _outcome(read_reference, ours)
+            assert read_wide_csv(ours).matrix.tobytes() == trace.matrix.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_malformed_bodies())
+    def test_malformed_bodies_raise_as_reference(self, body):
+        from trace_reference import read_reference
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.csv")
+            with open(path, "wb") as fh:
+                fh.write(body)
+            assert _outcome(read_wide_csv, path) == _outcome(read_reference, path)
+
+    @pytest.mark.parametrize("body, error, row, col", [
+        ("0,1.0\n1,2.0,3.0\n2,oops\n", RaggedRowsError, None, None),
+        ("0,oops\n1,2.0,3.0\n", ParseError, 2, 2),
+        ("0,1.0\nx,2.0,3.0\n", RaggedRowsError, None, None),
+        ("0,1.0\nx,nan\n", ParseError, 3, 1),
+        ("0,1.0\n1,inf\n5,oops\n", ParseError, 3, 2),
+        ("0,1.0\n5,1.0\n\n2,1e500\n", ParseError, 5, 2),
+        ("0,1.0\n5,1.0\n", ParseError, 3, 1),
+        ("0,1.0\n\n5,1.0\n", ParseError, 3, 1),
+    ])
+    def test_first_bad_row_in_file_order_decides(self, tmp_path, body, error, row, col):
+        from trace_reference import read_reference
+
+        path = tmp_path / "bad.csv"
+        path.write_text("t_s,m_a\n" + body)
+        with pytest.raises(error) as err:
+            read_wide_csv(path)
+        assert (getattr(err.value, "row", None), getattr(err.value, "col", None)) == (row, col)
+        assert _outcome(read_wide_csv, path) == _outcome(read_reference, path)
+
+
 class TestManifest:
     def build_corpus(self, lengths=(8, 8), labels=("a", "b")):
         items = []
