@@ -7,26 +7,24 @@ foreground app essentially perfectly; 5-fold cross-validation agrees.
 """
 
 from counterscope.datasets import demo_app_corpus
-from counterscope.features import build_stat_features, fit_normalizer
+from counterscope.features import Fingerprinter
 from counterscope.models import evaluate, kfold_cv, split_corpus, train_rf
 
 corpus = demo_app_corpus(n_classes=20, repetitions=20, seed=7)
 print(f"corpus: {len(corpus)} traces, {len(set(corpus.labels()))} apps, "
       f"{len(corpus.metrics)} metrics")
 
-train, test = split_corpus(corpus, 0.8, seed=42)
-norm = fit_normalizer(train, corpus.metrics)
-features_train = build_stat_features(train, corpus.metrics, norm)
-features_test = build_stat_features(test, corpus.metrics, norm)
 
-model = train_rf(features_train, train.labels(), n_trees=100, seed=42)
-report = evaluate(model, features_test, test.labels())
+def fit(train):
+    return Fingerprinter.fit(train, lambda X, y: train_rf(X, y, n_trees=100, seed=42),
+                             corpus.metrics, "stat4")
+
+
+train, test = split_corpus(corpus, 0.8, seed=42)
+report = evaluate(fit(train), test, test.labels())
 print(f"held-out: accuracy={report.accuracy:.3f}  macro-F1={report.macro_f1:.3f}")
 
-norm_all = fit_normalizer(corpus, corpus.metrics)
-features_all = build_stat_features(corpus, corpus.metrics, norm_all)
-cv = kfold_cv(features_all, corpus.labels(),
-              lambda X, y: train_rf(X, y, n_trees=100, seed=42), k=5, seed=42)
+cv = kfold_cv(corpus, fit, k=5, seed=42)  # each fold fits its own Fingerprinter
 print(f"5-fold CV: {cv.fold_accuracy_mean:.3f} +/- {cv.fold_accuracy_std:.3f}")
 
 worst = min(cv.per_class, key=lambda c: c.f1)

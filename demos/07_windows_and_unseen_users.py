@@ -13,7 +13,7 @@ forest under 5-fold CV.
 import numpy as np
 
 from counterscope.catalog import builtin_catalog
-from counterscope.features import build_stat_features, extract_window, fit_normalizer
+from counterscope.features import Fingerprinter, extract_window
 from counterscope.models import grid_search, lopo_cv, train_rf
 from counterscope.simulator import SceneScript, StaticObject, simulate
 from counterscope.stepcount import find_anchor
@@ -42,17 +42,19 @@ for user in range(6):
 corpus = LabeledCorpus(items)
 print(f"{len(corpus)} aligned 10-second fingerprints from 6 participants")
 
-norm = fit_normalizer(corpus, corpus.metrics)
-features = build_stat_features(corpus, corpus.metrics, norm, layout="stat2")
 
-report = lopo_cv(features, corpus.labels(), corpus.groups(),
-                 lambda X, y: train_rf(X, y, n_trees=50, seed=0))
+def fitter(**params):
+    """fit(train corpus) -> stat2 Fingerprinter; a fold's held-out traces
+    never reach its normalizer or its forest."""
+    return lambda train: Fingerprinter.fit(
+        train, lambda X, y: train_rf(X, y, seed=0, **params), corpus.metrics, "stat2")
+
+
+report = lopo_cv(corpus, fitter(n_trees=50))
 print(f"LOPO over 6 participants: accuracy "
       f"{report.fold_accuracy_mean:.3f} +/- {report.fold_accuracy_std:.3f}")
 
 grid = [{"n_trees": 25}, {"n_trees": 50}, {"n_trees": 100}]
-best, cv = grid_search(features, corpus.labels(),
-                       lambda p: (lambda X, y: train_rf(X, y, seed=0, **p)),
-                       grid, k=5, seed=0)
+best, cv = grid_search(corpus, lambda p: fitter(**p), grid, k=5, seed=0)
 print(f"grid search picked {best}: {cv.fold_accuracy_mean:.3f} "
       f"+/- {cv.fold_accuracy_std:.3f} under 5-fold CV")

@@ -6,6 +6,10 @@ fixed seed. Configuration precedence: flags > --config file > built-in
 defaults; the COUNTERSCOPE_SEED environment variable replaces the built-in
 default seed.
 
+The model-taking commands go through features.Fingerprinter: train saves
+one, eval loads one, and cv, lopo, grid, screen and defend curve fit one on
+each training set they split off.
+
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 internal
 error.
 """
@@ -30,10 +34,10 @@ from .defense import (
     read_access_log,
 )
 from .errors import DataError, DegenerateInputError, SchemaError, UnknownLabelError
-from .features import (
-    LAYOUT_SEQUENCE,
+from .features import (  # build_*, fit_normalizer: unused here, for perfbench/spans.py
     LAYOUT_STAT4,
     LAYOUTS,
+    Fingerprinter,
     build_sequences,
     build_stat_features,
     fit_normalizer,
@@ -167,7 +171,7 @@ def _write_json(path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# trainer construction shared by train/cv/lopo/grid/screen
+# trainer and Fingerprinter construction shared by the model-taking commands
 
 def _trainer_factory(model_name: str, cfg: RunConfig, seed: int,
                      overrides: dict | None = None):
@@ -191,10 +195,12 @@ def _trainer_factory(model_name: str, cfg: RunConfig, seed: int,
     return lambda X, y: globals()[name](X, y, **params), params
 
 
-def _build_features(corpus, metrics, norm, layout):
-    if layout == LAYOUT_SEQUENCE:
-        return build_sequences(corpus, metrics, norm)
-    return build_stat_features(corpus, metrics, norm, layout)
+def _fitter(cfg: RunConfig, model_name: str, seed: int, overrides: dict | None = None):
+    """(fit, params): fit(train corpus) -> a Fingerprinter over every corpus
+    metric in the configured layout, with the trainer of _trainer_factory."""
+    trainer, params = _trainer_factory(model_name, cfg, seed, overrides)
+    layout = cfg.get("layout", LAYOUT_STAT4)
+    return lambda train: Fingerprinter.fit(train, trainer, train.metrics, layout), params
 
 
 def _report_outputs(report, out_dir: str) -> None:
@@ -285,16 +291,9 @@ def cmd_screen(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     corpus = read_manifest(cfg.args.manifest)
-    seed = cfg.seed()
-    layout = cfg.get("layout", LAYOUT_STAT4)
     model_name = cfg.get("model", "rf")
-    metrics = corpus.metrics
-    norm = fit_normalizer(corpus, metrics)
-    features = _build_features(corpus, metrics, norm, layout)
-    trainer, params = _trainer_factory(model_name, cfg, seed)
-    model = trainer(features, corpus.labels())
-    save_model(model, os.path.join(out, "model.json"), metrics=metrics,
-               layout=layout, normalizer=norm)
+    fit, params = _fitter(cfg, model_name, cfg.seed())
+    save_model(fit(corpus), os.path.join(out, "model.json"))
     cfg.write_effective(out, "train")
     print(f"trained {model_name} ({params}) on {len(corpus)} items -> {out}/model.json")
     return EXIT_OK
@@ -304,15 +303,11 @@ def cmd_eval(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     corpus = read_manifest(cfg.args.manifest)
     path = cfg.args.model_file
-    model, context = load_model(path)
-    for key in ("metrics", "layout", "normalizer"):
-        if context[key] is None:
-            raise DataError(f"{path}: field {key!r} is missing")
+    fp = load_model(path)
     with schema.located(f"{path}: field 'metrics'"):
-        features = _build_features(corpus, context["metrics"], context["normalizer"],
-                                   context["layout"])
+        features = fp.features(corpus)
     try:
-        report = evaluate(model, features, corpus.labels())
+        report = evaluate(fp.model, features, corpus.labels())
     except DegenerateInputError as exc:  # the model's own feature-width check
         raise DataError(f"{path}: field 'model' does not fit its metrics and "
                         f"layout: {exc}") from None
@@ -329,12 +324,8 @@ def cmd_cv(cfg: RunConfig) -> int:
     corpus = read_manifest(cfg.args.manifest)
     seed = cfg.seed()
     k = cfg.get("k", 5)
-    layout = cfg.get("layout", LAYOUT_STAT4)
-    metrics = corpus.metrics
-    norm = fit_normalizer(corpus, metrics)
-    features = _build_features(corpus, metrics, norm, layout)
-    trainer, _ = _trainer_factory(cfg.get("model", "rf"), cfg, seed)
-    report = kfold_cv(features, corpus.labels(), trainer, k=k, seed=seed)
+    fit, _ = _fitter(cfg, cfg.get("model", "rf"), seed)
+    report = kfold_cv(corpus, fit, k=k, seed=seed)
     _report_outputs(report, out)
     cfg.write_effective(out, "cv")
     print(f"{k}-fold accuracy {report.fold_accuracy_mean:.4f} "
@@ -345,12 +336,8 @@ def cmd_cv(cfg: RunConfig) -> int:
 def cmd_lopo(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     corpus = read_manifest(cfg.args.manifest)
-    layout = cfg.get("layout", LAYOUT_STAT4)
-    metrics = corpus.metrics
-    norm = fit_normalizer(corpus, metrics)
-    features = _build_features(corpus, metrics, norm, layout)
-    trainer, _ = _trainer_factory(cfg.get("model", "rf"), cfg, cfg.seed())
-    report = lopo_cv(features, corpus.labels(), corpus.groups(), trainer)
+    fit, _ = _fitter(cfg, cfg.get("model", "rf"), cfg.seed())
+    report = lopo_cv(corpus, fit)
     _report_outputs(report, out)
     cfg.write_effective(out, "lopo")
     print(f"LOPO over {len(report.folds)} groups: accuracy "
@@ -368,14 +355,8 @@ def cmd_grid(cfg: RunConfig) -> int:
     for i, entry in enumerate(schema.read(grid, list, f"{cfg.args.grid}: a grid")):
         with schema.located(f"{cfg.args.grid}: entry {i}"):
             _trainer_factory(model_name, cfg, seed, schema.read(entry, dict, "an entry"))
-    layout = cfg.get("layout", LAYOUT_STAT4)
-    metrics = corpus.metrics
-    norm = fit_normalizer(corpus, metrics)
-    features = _build_features(corpus, metrics, norm, layout)
-
     best_params, report = grid_search(
-        features, corpus.labels(),
-        lambda entry: _trainer_factory(model_name, cfg, seed, entry)[0], grid,
+        corpus, lambda entry: _fitter(cfg, model_name, seed, entry)[0], grid,
         k=cfg.get("k", 5), seed=seed)
     _write_json(os.path.join(out, "best_params.json"), best_params)
     _report_outputs(report, out)
@@ -389,9 +370,9 @@ def cmd_count(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     trace = read_wide_csv(cfg.args.trace)
     catalog = cfg.catalog()
-    window = cfg.get("window", 3)
+    window = cfg.get("window", 3, minimum=1)
     gap = cfg.get("gap", 3, minimum=0)
-    min_jump = cfg.get("min_jump", None, float)
+    min_jump = cfg.get("min_jump", None, float, minimum=0)
     jumps = (min_jump if min_jump is not None
              else default_min_jumps(cfg.profile(), metrics=trace.metrics))
     # one detection per metric feeds both the vote and steps.csv
@@ -458,9 +439,9 @@ def cmd_defend_detect(cfg: RunConfig) -> int:
     verdict = detect_profiler_access(
         log,
         min_events=cfg.get("min_events", 20, minimum=1),
-        cv_threshold=cfg.get("cv_threshold", 0.1),
-        expected_period_s=cfg.get("expected_period", 1.0),
-        period_tolerance=cfg.get("period_tolerance", 0.25))
+        cv_threshold=cfg.get("cv_threshold", 0.1, minimum=0),
+        expected_period_s=cfg.get("expected_period", 1.0, minimum=0),
+        period_tolerance=cfg.get("period_tolerance", 0.25, minimum=0))
     _write_json(os.path.join(out, "verdict.json"), verdict.to_dict())
     cfg.write_effective(out, "defend-detect")
     print(f"flagged={verdict.flagged} cv={verdict.cv:.4f} n={verdict.n_events}"
@@ -470,7 +451,7 @@ def cmd_defend_detect(cfg: RunConfig) -> int:
 
 def _levels(cfg: RunConfig) -> list[float]:
     """The noise levels: comma-separated sigma multipliers, each a finite
-    number >= 0."""
+    number >= 0 and greater than the one before."""
     raw, where = cfg.get("levels", "0,2,5,10,25"), cfg.where("levels")
     levels = []
     for i, text in enumerate(raw.split(",")):
@@ -479,6 +460,9 @@ def _levels(cfg: RunConfig) -> list[float]:
         except ValueError:
             raise SchemaError(f"{where}: entry {i} must be a number, got {text!r}") from None
         levels.append(schema.read(value, float, f"{where}: entry {i}", minimum=0))
+        if i and levels[i] <= levels[i - 1]:
+            raise SchemaError(f"{where}: entry {i} must be greater than entry {i - 1} "
+                              f"({levels[i - 1]!r}), got {levels[i]!r}")
     return levels
 
 

@@ -20,7 +20,11 @@ import numpy as np
 from . import schema
 from .catalog import MetricCatalog
 from .errors import DataError, InvalidStrategyError
-from .features import build_stat_features, fit_normalizer
+from .features import (  # build_stat_features, fit_normalizer: unused, for perfbench/spans.py
+    Fingerprinter,
+    build_stat_features,
+    fit_normalizer,
+)
 from .models.evaluation import evaluate, stratified_split
 from .seeding import derive_seed
 from .simulator import COVERAGE_KAPPA, MetricResponse, ResponseModel
@@ -192,8 +196,7 @@ def evaluate_countermeasure(corpus: LabeledCorpus, trainer,
                             levels: list[NoiseStrategy], seed: int = 0,
                             train_fraction: float = 0.8,
                             catalog: MetricCatalog | None = None,
-                            profile: dict[str, MetricResponse] | None = None,
-                            layout: str = "stat4"):
+                            profile: dict[str, MetricResponse] | None = None):
     """Accuracy/macro-F1 of a fixed clean-trained model against perturbed tests.
 
     The train split stays clean; only test traces are perturbed, one curve
@@ -207,12 +210,8 @@ def evaluate_countermeasure(corpus: LabeledCorpus, trainer,
     train_idx, test_idx = stratified_split(corpus.labels(), train_fraction, seed)
     train = corpus.subset(train_idx)
     test = corpus.subset(test_idx)
-    metrics = corpus.metrics
-    norm = fit_normalizer(train, metrics)
-    f_train = build_stat_features(train, metrics, norm, layout)
-    model = trainer(f_train, train.labels())
-    f_clean = build_stat_features(test, metrics, norm, layout)
-    clean_report = evaluate(model, f_clean, test.labels())
+    fp = Fingerprinter.fit(train, trainer, corpus.metrics, "stat4")
+    clean_report = evaluate(fp, test, test.labels())
 
     points = []
     for strategy in levels:
@@ -221,8 +220,6 @@ def evaluate_countermeasure(corpus: LabeledCorpus, trainer,
             noisy = inject_noise(item.trace, strategy, catalog, profile,
                                  seed=derive_seed(strategy.seed, i))
             perturbed_items.append(type(item)(noisy, item.label, item.group))
-        perturbed = LabeledCorpus(perturbed_items)
-        f_test = build_stat_features(perturbed, metrics, norm, layout)
-        report = evaluate(model, f_test, test.labels())
+        report = evaluate(fp, LabeledCorpus(perturbed_items), test.labels())
         points.append(CurvePoint(float(strategy.level), report.accuracy, report.macro_f1))
     return DegradationCurve(tuple(points)), clean_report

@@ -1,11 +1,13 @@
-"""Fingerprint construction: normalization, stat vectors, padded sequences.
+"""Fingerprint construction: normalization, stat vectors, padded sequences,
+and the Fingerprinter that fits them with a classifier as one pipeline.
 
 Normalization stats are fit on training data only and then applied to
 whatever gets classified, so test traces never leak into the baseline
-estimate. Stat layouts summarize each normalized metric with (mean, std,
-max, min) or (mean, std); the sequence layout keeps the whole normalized
-series, tail-padded to the longest item (pad value 0, i.e. the training
-mean in normalized space) and flattened time-major.
+estimate; a Fingerprinter fitted per fold keeps that true under
+cross-validation. Stat layouts summarize each normalized metric with (mean,
+std, max, min) or (mean, std); the sequence layout keeps the whole
+normalized series, tail-padded to the longest item (pad value 0, i.e. the
+training mean in normalized space) and flattened time-major.
 """
 
 from __future__ import annotations
@@ -40,19 +42,22 @@ class NormalizationStats:
             if sigma < 0:
                 raise DataError(f"{mid}: sigma must be >= 0")
 
-    def metrics(self) -> list[str]:
-        return list(self.stats.keys())
-
-    def apply(self, metric: str, values: np.ndarray) -> np.ndarray:
-        """Z-score values with the stored stats; constant metrics map to 0."""
+    def zscore(self, corpus: LabeledCorpus, metrics: list[str]):
+        """Each item's series of `metrics` z-scored with the stored stats, as
+        one contiguous (metrics, seconds) block per item in corpus order; a
+        constant metric (sigma 0) maps to +0.0."""
         try:
-            mu, sigma = self.stats[metric]
-        except KeyError:
-            raise UnknownMetricError(metric) from None
-        values = np.asarray(values, dtype=float)
-        if sigma == 0.0:
-            return np.zeros_like(values)
-        return (values - mu) / sigma
+            mu, sigma = np.array([self.stats[m] for m in metrics]).reshape(-1, 2).T
+        except KeyError as exc:
+            raise UnknownMetricError(exc.args[0]) from None
+        constant = sigma == 0.0
+        scale = np.where(constant, 1.0, sigma)[:, None]
+        cols = [corpus.metrics.index(m) for m in metrics]
+        for item in corpus:
+            block = np.subtract(item.trace.matrix[:, cols].T, mu[:, None], order="C")
+            block /= scale
+            block[constant] = 0.0
+            yield block
 
     def to_dict(self) -> dict:
         return {m: [mu, sigma] for m, (mu, sigma) in self.stats.items()}
@@ -74,7 +79,6 @@ class FeatureMatrix:
 
     values: np.ndarray
     col_names: list[str]
-    layout: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -114,33 +118,61 @@ def build_stat_features(corpus: LabeledCorpus, metrics: list[str],
     suffixes = _STAT_SUFFIXES[layout]
     col_names = [f"{m}_{s}" for m in metrics for s in suffixes]
     rows = np.empty((len(corpus), len(metrics), len(suffixes)))
-    for i, item in enumerate(corpus):
-        # one contiguous row per metric: reducing along it sums each series
-        # pairwise, as the 1-D series would, so the moments are bit-equal
-        block = np.empty((len(metrics), item.trace.n_seconds))
-        for j, m in enumerate(metrics):
-            block[j] = norm.apply(m, item.trace.values(m))
+    for i, block in enumerate(norm.zscore(corpus, metrics)):
+        # reducing along each contiguous row sums the series pairwise, as the
+        # 1-D series would, so the moments are bit-equal
         moments = (block.mean(axis=1), block.std(axis=1), block.max(axis=1), block.min(axis=1))
         rows[i] = np.stack(moments[:len(suffixes)], axis=1)
-    return FeatureMatrix(rows.reshape(len(corpus), len(col_names)), col_names, layout)
+    return FeatureMatrix(rows.reshape(len(corpus), len(col_names)), col_names)
 
 
 def build_sequences(corpus: LabeledCorpus, metrics: list[str],
-                    norm: NormalizationStats,
-                    pad_value: float = 0.0) -> FeatureMatrix:
-    """Whole normalized series per item, tail-padded to the longest and
+                    norm: NormalizationStats) -> FeatureMatrix:
+    """Whole normalized series per item, tail-padded with 0 to the longest and
     flattened time-major (row t holds all metrics at second t)."""
     _check_metrics(corpus.metrics, metrics)
     if len(corpus) == 0:
-        return FeatureMatrix(np.empty((0, 0)), [], LAYOUT_SEQUENCE)
+        return FeatureMatrix(np.empty((0, 0)), [])
     n_max = max(item.trace.n_seconds for item in corpus)
     k = len(metrics)
     col_names = [f"t{t:04d}_{m}" for t in range(n_max) for m in metrics]
-    rows = np.full((len(corpus), n_max * k), float(pad_value))
-    for i, item in enumerate(corpus):
-        block = np.column_stack([norm.apply(m, item.trace.values(m)) for m in metrics])
-        rows[i, : block.size] = block.reshape(-1)
-    return FeatureMatrix(rows, col_names, LAYOUT_SEQUENCE)
+    rows = np.zeros((len(corpus), n_max * k))
+    for i, block in enumerate(norm.zscore(corpus, metrics)):
+        rows[i, : block.size] = block.T.reshape(-1)
+    return FeatureMatrix(rows, col_names)
+
+
+@dataclass
+class Fingerprinter:
+    """The fitted attack pipeline: `metrics` z-scored with `normalizer`, laid
+    out as `layout` features and classified by `model`. fit() sees only its
+    training corpus; predict(corpus) and classes let models.evaluate score
+    it on a corpus."""
+
+    metrics: list[str]
+    layout: str
+    normalizer: NormalizationStats
+    model: object
+
+    @classmethod
+    def fit(cls, corpus: LabeledCorpus, trainer, metrics: list[str],
+            layout: str) -> "Fingerprinter":
+        """trainer(features, labels) -> a model with classes and predict(features)."""
+        fp = cls(metrics, layout, fit_normalizer(corpus, metrics), None)
+        fp.model = trainer(fp.features(corpus), corpus.labels())
+        return fp
+
+    def features(self, corpus: LabeledCorpus) -> FeatureMatrix:
+        if self.layout == LAYOUT_SEQUENCE:
+            return build_sequences(corpus, self.metrics, self.normalizer)
+        return build_stat_features(corpus, self.metrics, self.normalizer, self.layout)
+
+    @property
+    def classes(self) -> list[str]:
+        return self.model.classes
+
+    def predict(self, corpus: LabeledCorpus) -> list[str]:
+        return self.model.predict(self.features(corpus))
 
 
 def extract_window(trace: TraceSet, t_start: int, length: int = 10) -> TraceSet:

@@ -1,5 +1,9 @@
 """Splits, cross-validation, grid search and score reporting.
 
+The protocols take a corpus and fit(train corpus) -> a predictor with
+predict(corpus), such as features.Fingerprinter.fit, and call it once per
+fold on that fold's training items alone.
+
 Every scalar in an EvaluationReport is derived from its confusion matrix
 (rows = true, cols = predicted), so reports can always be recomputed and
 checked. Macro averages weight classes equally; empty ratios (0/0) are 0.
@@ -21,7 +25,6 @@ from ..errors import (
     SingleGroupError,
     UnknownLabelError,
 )
-from .forest import _as_matrix
 
 
 def _ratio(num: float, den: float) -> float:
@@ -122,7 +125,8 @@ def confusion_matrix(true_labels, predicted, axis_labels) -> np.ndarray:
 
 
 def evaluate(model, features, labels) -> EvaluationReport:
-    """Score a trained model; true labels must all be known to the model."""
+    """Score a model on features, or a Fingerprinter on a corpus; the true
+    labels must all be known to it."""
     labels = list(labels)
     known = set(model.classes)
     unknown = sorted(set(labels) - known)
@@ -180,49 +184,43 @@ def stratified_folds(labels, k: int, seed: int = 0) -> list[list[int]]:
     return [sorted(f) for f in folds]
 
 
-def _pooled_cv(features, labels, trainer, folds) -> EvaluationReport:
-    """Each fold is tested by a model trained on every other row; pooled
+def _pooled_cv(corpus, fit, folds) -> EvaluationReport:
+    """Each fold is tested by a predictor fitted on every other item; pooled
     confusion plus per-fold sub-reports."""
-    X = _as_matrix(features)
-    axis = sorted(set(labels))
+    axis = sorted(set(corpus.labels()))
     fold_reports = []
     pooled = np.zeros((len(axis), len(axis)), dtype=int)
     for test_idx in folds:
         test_set = set(test_idx)
-        train_idx = [i for i in range(len(labels)) if i not in test_set]
-        model = trainer(X[train_idx], [labels[i] for i in train_idx])
-        predicted = model.predict(X[test_idx])
-        confusion = confusion_matrix([labels[i] for i in test_idx], predicted, axis)
+        train = corpus.subset([i for i in range(len(corpus)) if i not in test_set])
+        test = corpus.subset(test_idx)
+        confusion = confusion_matrix(test.labels(), fit(train).predict(test), axis)
         pooled += confusion
         fold_reports.append(EvaluationReport.from_confusion(axis, confusion))
     return EvaluationReport.from_confusion(axis, pooled, folds=fold_reports)
 
 
-def kfold_cv(features, labels, trainer, k: int = 5, seed: int = 0) -> EvaluationReport:
+def kfold_cv(corpus, fit, k: int = 5, seed: int = 0) -> EvaluationReport:
     """Stratified k-fold CV; pooled confusion plus per-fold sub-reports."""
-    labels = list(labels)
     if k < 2:
         raise DegenerateInputError(f"k must be >= 2, got {k}")
-    return _pooled_cv(features, labels, trainer, stratified_folds(labels, k, seed))
+    return _pooled_cv(corpus, fit, stratified_folds(corpus.labels(), k, seed))
 
 
-def lopo_cv(features, labels, groups, trainer) -> EvaluationReport:
-    """Leave-one-group-out CV: fold g trains on every group except g."""
-    labels = list(labels)
-    groups = list(groups)
-    if len(groups) != len(labels):
-        raise DegenerateInputError("groups length != labels length")
+def lopo_cv(corpus, fit) -> EvaluationReport:
+    """Leave-one-group-out CV: fold g is tested by fit(every other group)."""
+    groups = corpus.groups()
     distinct = sorted(set(groups))
     if len(distinct) < 2:
         raise SingleGroupError("need >= 2 distinct groups")
-    return _pooled_cv(features, labels, trainer,
+    return _pooled_cv(corpus, fit,
                       [[i for i, gg in enumerate(groups) if gg == g] for g in distinct])
 
 
-def grid_search(features, labels, trainer_family, grid, k: int = 5, seed: int = 0):
+def grid_search(corpus, fit_family, grid, k: int = 5, seed: int = 0):
     """Exhaustive CV over a parameter grid -> (best params, its CV report).
 
-    trainer_family(params) returns a trainer; best = highest mean fold
+    fit_family(params) returns a kfold_cv fit; best = highest mean fold
     accuracy, ties resolved to the earliest grid entry.
     """
     grid = list(grid)
@@ -232,7 +230,7 @@ def grid_search(features, labels, trainer_family, grid, k: int = 5, seed: int = 
     best_report = None
     best_score = -np.inf
     for params in grid:
-        report = kfold_cv(features, labels, trainer_family(params), k=k, seed=seed)
+        report = kfold_cv(corpus, fit_family(params), k=k, seed=seed)
         score = report.fold_accuracy_mean
         if score > best_score:
             best_score = score

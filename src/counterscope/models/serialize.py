@@ -2,9 +2,9 @@
 
 FAMILIES declares each kind's model class, trainer and trainer parameters;
 the CLI's flags, config keys and trainers and the envelope's kind come from
-it. The envelope carries everything needed to classify fresh traces: the
-model itself plus the metric list, layout and normalization stats it was
-trained with.
+it. The envelope holds a fitted Fingerprinter, everything needed to
+classify fresh traces: the model itself plus the metric list, layout and
+normalization stats it was trained with, each a required field.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 from .. import schema
 from ..errors import SchemaError
-from ..features import LAYOUTS, NormalizationStats
+from ..features import LAYOUTS, Fingerprinter, NormalizationStats
 from .forest import DEFAULT_N_TREES, RandomForestModel, train_rf
 from .linear import LinearSvmModel, train_linear_svm
 from .mlp import MlpModel, train_mlp
@@ -64,46 +64,39 @@ _ENVELOPE = {
     "version": schema.Field(int, choices=(FORMAT_VERSION,)),
     "kind": schema.Field(str, choices=FAMILIES),
     "model": schema.Field(dict),
-    "metrics": schema.Field(list, None),
-    "layout": schema.Field(str, None, choices=LAYOUTS),
-    "normalizer": schema.Field(dict, None),
+    "metrics": schema.Field(list),
+    "layout": schema.Field(str, choices=LAYOUTS),
+    "normalizer": schema.Field(dict),
 }
 
 
-def save_model(model, path, metrics: list[str] | None = None,
-               layout: str | None = None,
-               normalizer: NormalizationStats | None = None) -> None:
-    kind = next((k for k, f in FAMILIES.items() if isinstance(model, f.model)), None)
+def save_model(fp: Fingerprinter, path) -> None:
+    kind = next((k for k, f in FAMILIES.items() if isinstance(fp.model, f.model)), None)
     if kind is None:
-        raise SchemaError(f"unknown model type {type(model).__name__}")
+        raise SchemaError(f"unknown model type {type(fp.model).__name__}")
     payload = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "kind": kind,
-        "model": model.to_dict(),
+        "model": fp.model.to_dict(),
+        "metrics": list(fp.metrics),
+        "layout": fp.layout,
+        "normalizer": fp.normalizer.to_dict(),
     }
-    if metrics is not None:
-        payload["metrics"] = list(metrics)
-    if layout is not None:
-        payload["layout"] = layout
-    if normalizer is not None:
-        payload["normalizer"] = normalizer.to_dict()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_model(path):
-    """Returns (model, context) where context holds kind/metrics/layout/normalizer,
-    each None where the file lacks it; a malformed field raises SchemaError."""
+def load_model(path) -> Fingerprinter:
+    """The Fingerprinter a save_model file holds; a malformed or missing field
+    raises SchemaError naming the file and the field."""
     with schema.located(path):
         envelope = schema.fields(schema.load_json(path), _ENVELOPE, f"a {FORMAT_NAME} file")
         with schema.located("in 'model'"):
-            model = FAMILIES[envelope["kind"]].model.from_dict(envelope.pop("model"))
-        for i, metric in enumerate(envelope["metrics"] or ()):
+            model = FAMILIES[envelope["kind"]].model.from_dict(envelope["model"])
+        metrics = envelope["metrics"]
+        for i, metric in enumerate(metrics):
             schema.read(metric, str, f"field 'metrics[{i}]'")
-        if envelope["normalizer"] is not None:
-            envelope["normalizer"] = NormalizationStats.from_dict(envelope["normalizer"],
-                                                                  envelope["metrics"] or ())
-    del envelope["format"], envelope["version"]
-    return model, envelope
+        normalizer = NormalizationStats.from_dict(envelope["normalizer"], metrics)
+    return Fingerprinter(metrics, envelope["layout"], normalizer, model)

@@ -14,8 +14,8 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from . import features as feats
 from .errors import DataError, InsufficientLabelsError, UnknownMetricError
+from .features import LAYOUT_STAT4, Fingerprinter
 from .stats import pearson
 from .traces import LabeledCorpus
 
@@ -95,7 +95,7 @@ def accuracy_screen(corpus: LabeledCorpus, trainer, threshold_acc: float = DEFAU
     a predict(features) method. Results are sorted by accuracy descending,
     ties broken by the corpus metric order (catalog order).
     """
-    from .models.evaluation import evaluate, stratified_split
+    from .models.evaluation import evaluate, split_corpus
 
     if not 0.0 < threshold_acc <= 1.0:
         raise DataError(f"threshold_acc must be in (0, 1], got {threshold_acc}")
@@ -104,17 +104,12 @@ def accuracy_screen(corpus: LabeledCorpus, trainer, threshold_acc: float = DEFAU
     metric_list = list(metrics) if metrics is not None else corpus.metrics
     order = {m: i for i, m in enumerate(metric_list)}
 
-    train_idx, test_idx = stratified_split(corpus.labels(), train_fraction, split_seed)
-    train = corpus.subset(train_idx)
-    test = corpus.subset(test_idx)
+    train, test = split_corpus(corpus, train_fraction, split_seed)
 
     passing: list[tuple[str, float]] = []
     for m in metric_list:
-        norm = feats.fit_normalizer(train, [m])
-        f_train = feats.build_stat_features(train, [m], norm)
-        f_test = feats.build_stat_features(test, [m], norm)
-        model = trainer(f_train, train.labels())
-        report = evaluate(model, f_test, test.labels())
+        fp = Fingerprinter.fit(train, trainer, [m], LAYOUT_STAT4)
+        report = evaluate(fp, test, test.labels())
         if report.accuracy > threshold_acc:
             passing.append((m, report.accuracy))
     passing.sort(key=lambda pair: (-pair[1], order[pair[0]]))

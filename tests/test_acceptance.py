@@ -5,6 +5,7 @@ Tolerances are pinned here and nowhere else; the helper corpora come from
 counterscope.datasets so every number below is reproducible from seeds.
 """
 
+import csv
 import json
 import math
 import os
@@ -22,13 +23,14 @@ from counterscope.datasets import (
     speed_sweep_script,
 )
 from counterscope.defense import AccessLog, detect_profiler_access, evaluate_countermeasure
-from counterscope.features import build_stat_features, fit_normalizer
+from counterscope.features import Fingerprinter
 from counterscope.models import evaluate, kfold_cv, stratified_split, train_rf
 from counterscope.models.mlp import init_params, loss_and_grads
 from counterscope.selection import correlation_prune
 from counterscope.simulator import avatar_staircase, builtin_profile, simulate
 from counterscope.stats import linreg, pearson, summarize
 from counterscope.stepcount import count_participants, default_min_jumps
+from counterscope.traces import write_manifest
 from test_models_mlp import flatten, unflatten
 
 CATALOG = builtin_catalog()
@@ -131,19 +133,14 @@ def test_criterion_4_speed_width_law():
 def test_criterion_5_synthetic_fingerprinting(app_corpus):
     """20x20 corpus, RF(100 trees, stat4, 80/20 split, seed 42):
     accuracy >= 0.95, macro-F1 >= 0.93, 5-fold CV mean within 0.03."""
-    metrics = app_corpus.metrics
+    def fit(train):
+        return Fingerprinter.fit(train, lambda X, y: train_rf(X, y, n_trees=100, seed=42),
+                                 app_corpus.metrics, "stat4")
+
     train_idx, test_idx = stratified_split(app_corpus.labels(), 0.8, seed=42)
     train, test = app_corpus.subset(train_idx), app_corpus.subset(test_idx)
-    norm = fit_normalizer(train, metrics)
-    model = train_rf(build_stat_features(train, metrics, norm), train.labels(),
-                     n_trees=100, seed=42)
-    split_report = evaluate(model, build_stat_features(test, metrics, norm),
-                            test.labels())
-
-    norm_all = fit_normalizer(app_corpus, metrics)
-    features_all = build_stat_features(app_corpus, metrics, norm_all)
-    cv = kfold_cv(features_all, app_corpus.labels(),
-                  lambda X, y: train_rf(X, y, n_trees=100, seed=42), k=5, seed=42)
+    split_report = evaluate(fit(train), test, test.labels())
+    cv = kfold_cv(app_corpus, fit, k=5, seed=42)
     ok = (split_report.accuracy >= 0.95 and split_report.macro_f1 >= 0.93
           and abs(cv.fold_accuracy_mean - split_report.accuracy) <= 0.03)
     report("5 synthetic fingerprinting", ok,
@@ -208,6 +205,25 @@ def test_criterion_8_countermeasure_monotonicity(app_corpus):
     degraded = curve.points[-1].accuracy <= clean.accuracy - 0.10
     report("8 countermeasure monotonicity", bitwise and degraded,
            f"clean {clean.accuracy:.3f} -> top level {curve.points[-1].accuracy:.3f}")
+
+
+# `defend curve --seed 0` on the 20 x 20 app corpus (app_corpus_spec(20, 20,
+# seed=7), default levels 0,2,5,10,25 and rf of 100 trees) read accuracy
+# 0.8125 at level 10 when the normalizer was still fitted outside the
+# protocols. Levels 0-5 classify perfectly, so level 10 is where a loss of
+# attack quality shows.
+CURVE_LEVEL_10_ACCURACY = 0.8125
+
+
+def test_defend_curve_accuracy_at_level_10_holds(app_corpus, tmp_path):
+    manifest = write_manifest(app_corpus, str(tmp_path / "corp"))
+    assert cli_main(["defend", "curve", "--manifest", str(manifest), "--seed", "0",
+                     "--out", str(tmp_path / "curve")]) == 0
+    with open(tmp_path / "curve" / "degradation.csv") as fh:
+        accuracy = {float(row["level"]): float(row["accuracy"]) for row in csv.DictReader(fh)}
+    ok = abs(accuracy[10.0] - CURVE_LEVEL_10_ACCURACY) <= 0.05
+    report("defend curve quality", ok,
+           f"level 10 accuracy {accuracy[10.0]:.4f}, pinned {CURVE_LEVEL_10_ACCURACY}")
 
 
 def test_criterion_9_access_detector_calibration():

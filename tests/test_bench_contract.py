@@ -2,7 +2,8 @@
 
 perfbench/spans.py wraps public functions at the names their callers look
 up (counterscope.cli.train_rf, ...). A refactor that moves one of them makes
-the traced benchmark run fail; this test catches that in about a second
+the traced benchmark run fail, and one that routes around a wrapped name
+makes a per-layer metric read 0; this test catches both in a few seconds
 instead of the minute and a half perfbench/selftest.py takes.
 """
 
@@ -24,15 +25,28 @@ def test_tracer_wraps_every_target_and_counts_forest_fits(tmp_path, monkeypatch)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(small_corpus_spec()))
     assert main(["gen-corpus", str(spec), "--out", str(tmp_path / "corp")]) == 0
+    m = ["--manifest", str(tmp_path / "corp" / "manifest.jsonl")]
+    commands = {
+        "cv": ["cv", *m, "--k", "2", "--trees", "5"],
+        "train": ["train", *m, "--trees", "5"],
+        "eval": ["eval", *m, "--model-file", str(tmp_path / "train" / "model.json")],
+        "lopo": ["lopo", *m, "--trees", "5"],
+        "screen": ["screen", *m, "--trees", "5"],
+        "curve": ["defend", "curve", *m, "--trees", "5", "--levels", "0,2"],
+    }
     tracer = spans.Tracer()
     try:
         tracer.install()
         assert tracer.missing == []
-        assert main(["cv", "--manifest", str(tmp_path / "corp" / "manifest.jsonl"),
-                     "--k", "2", "--trees", "5", "--out", str(tmp_path / "cv")]) == 0
+        for name, argv in commands.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0, name
+            if name == "cv":
+                assert tracer.counts["models.evaluation.folds"] == 2
     finally:
         tracer.uninstall()
     assert tracer.missing == []
-    assert any(key == "models.forest.fit" for key, *_ in tracer.spans)
+    keys = {key for key, *_ in tracer.spans}
+    assert {"models.forest.fit", "features.normalize", "features.build"} <= keys
     assert tracer.counts["models.forest.fit.trees"] > 0
-    assert tracer.counts["models.evaluation.folds"] == 2
+    assert tracer.counts["features.cells"] > 0
+    assert tracer.counts["models.serialize.bytes"] > 0

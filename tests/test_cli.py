@@ -570,6 +570,44 @@ def test_negative_seed_reduces_modulo_2_64(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_no_protocol_fits_the_normalizer_on_test_items(tmp_path, monkeypatch):
+    """cv, lopo and grid fit the normalizer once per fold, on exactly the
+    items outside the fold under test, through whichever binding is called."""
+    import counterscope.cli
+    import counterscope.features
+    from counterscope.models import stratified_folds
+    from counterscope.traces import read_manifest
+
+    manifest = _gen_small_corpus(tmp_path)
+    corpus = read_manifest(manifest)
+    index = {item.trace.matrix.tobytes(): i for i, item in enumerate(corpus)}
+    seen = []
+    fit_normalizer = counterscope.features.fit_normalizer
+
+    def spy(train, metrics):
+        seen.append(sorted(index[item.trace.matrix.tobytes()] for item in train))
+        return fit_normalizer(train, metrics)
+
+    for module in (counterscope.cli, counterscope.features):
+        monkeypatch.setattr(module, "fit_normalizer", spy)
+    groups = corpus.groups()
+    lopo_folds = [[i for i, g in enumerate(groups) if g == gg] for gg in sorted(set(groups))]
+    kfolds = stratified_folds(corpus.labels(), 2, seed=3)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"n_trees": 2}, {"max_depth": 1}]))
+    runs = {
+        "cv": (["cv", "--k", "2"], kfolds),
+        "lopo": (["lopo"], lopo_folds),
+        "grid": (["grid", "--k", "2", "--grid", str(grid)], kfolds * 2),
+    }
+    for name, (argv, folds) in runs.items():
+        seen.clear()
+        assert run_cli(argv + ["--manifest", manifest, "--trees", "3", "--seed", "3",
+                               "--out", str(tmp_path / name)]) == 0
+        train_sets = [sorted(set(range(len(corpus))) - set(fold)) for fold in folds]
+        assert seen == train_sets, name
+
+
 def test_grid_unknown_key_names_file_entry_and_key(tmp_path, capsys):
     manifest = _gen_small_corpus(tmp_path)
     grid = tmp_path / "grid.json"
@@ -593,21 +631,17 @@ def test_grid_entry_overrides_flags(tmp_path):
     assert config["trees"] == 5
 
 
-def _eval_model_file(tmp_path, **context):
-    from counterscope.features import build_stat_features, fit_normalizer
+def _eval_model_file(tmp_path):
+    from counterscope.features import Fingerprinter
     from counterscope.models import save_model, train_rf
     from counterscope.traces import read_manifest
 
     manifest = _gen_small_corpus(tmp_path)
     corpus = read_manifest(manifest)
-    metrics = corpus.metrics[:3]
-    norm = fit_normalizer(corpus, metrics)
-    model = train_rf(build_stat_features(corpus, metrics, norm), corpus.labels(),
-                     n_trees=3)
+    fp = Fingerprinter.fit(corpus, lambda X, y: train_rf(X, y, n_trees=3),
+                           corpus.metrics[:3], "stat4")
     path = str(tmp_path / "model.json")
-    kwargs = {"metrics": metrics, "layout": "stat4", "normalizer": norm}
-    kwargs.update(context)
-    save_model(model, path, **kwargs)
+    save_model(fp, path)
     return manifest, path, corpus
 
 
@@ -622,12 +656,12 @@ def _envelope(key, value):
     return {"edit": lambda payload: payload.update({key: value})}
 
 
+# the context of the written file is edited after saving
 @pytest.mark.parametrize("context, field", [
-    ({"metrics": None}, "'metrics'"),
-    ({"layout": None}, "'layout'"),
-    ({"normalizer": None}, "'normalizer'"),
-    ({"layout": "stat2"}, "model width 12"),
-    # the context of the written file is edited after saving
+    ({"edit": lambda payload: payload.pop("metrics")}, "'metrics'"),
+    ({"edit": lambda payload: payload.pop("layout")}, "'layout'"),
+    ({"edit": lambda payload: payload.pop("normalizer")}, "'normalizer'"),
+    (_envelope("layout", "stat2"), "model width 12"),
     (_envelope("normalizer", [1, 2]), "'normalizer'"),
     ({"edit": lambda payload: payload["normalizer"].update(gpu_bus_busy="x")},
      "'normalizer.gpu_bus_busy'"),
@@ -638,17 +672,15 @@ def _envelope(key, value):
     (_envelope("metrics", "abc"), "'metrics'"),
     (_envelope("layout", "stat9"), "'layout'"),
     ({"edit": _rename_first_metric}, "'metrics'"),
+    (_envelope("metrics", ["gpu_bus_busy", "gpu_bus_busy"]), "'metrics'"),
 ])
 def test_eval_refuses_to_coerce(tmp_path, capsys, context, field):
-    context = dict(context)
-    edit = context.pop("edit", None)
-    manifest, path, _ = _eval_model_file(tmp_path, **context)
-    if edit is not None:
-        with open(path) as fh:
-            payload = json.load(fh)
-        edit(payload)
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+    manifest, path, _ = _eval_model_file(tmp_path)
+    with open(path) as fh:
+        payload = json.load(fh)
+    context["edit"](payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
     assert run_cli(["eval", "--manifest", manifest, "--model-file", path,
                     "--out", str(tmp_path / "ev")]) == 2
     err = capsys.readouterr().err
@@ -658,13 +690,13 @@ def test_eval_refuses_to_coerce(tmp_path, capsys, context, field):
 def test_eval_width_mismatch_on_wider_corpus(tmp_path, capsys):
     """A 12-feature model whose metric list names all 30 corpus metrics would
     give 120 columns; the old CLI truncated them to 12 and exited 0."""
-    from counterscope.features import fit_normalizer
+    from counterscope.features import Fingerprinter, fit_normalizer
     from counterscope.models import load_model, save_model
 
     manifest, path, corpus = _eval_model_file(tmp_path)
-    model, _ = load_model(path)
-    save_model(model, path, metrics=corpus.metrics, layout="stat4",
-               normalizer=fit_normalizer(corpus, corpus.metrics))
+    model = load_model(path).model
+    save_model(Fingerprinter(corpus.metrics, "stat4",
+                             fit_normalizer(corpus, corpus.metrics), model), path)
     assert run_cli(["eval", "--manifest", manifest, "--model-file", path,
                     "--out", str(tmp_path / "ev")]) == 2
     err = capsys.readouterr().err

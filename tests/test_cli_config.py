@@ -144,6 +144,19 @@ PROBES = {
     "flag-negative-level": (["defend", "curve", "--levels=-1"], None, None, "--levels: entry 0"),
     "config-infinite-level": (["defend", "curve"], {"levels": "0,1e500"}, None,
                               "'levels': entry 1"),
+    "flag-negative-min-jump": (["count", "--min-jump", "-1"], None, None, "--min-jump"),
+    "flag-negative-cv-threshold": (["defend", "detect", "--cv-threshold", "-1"], None, None,
+                                   "--cv-threshold"),
+    "flag-negative-period-tolerance": (["defend", "detect", "--period-tolerance", "-1"],
+                                       None, None, "--period-tolerance"),
+    "flag-negative-expected-period": (["defend", "detect", "--expected-period", "-1"],
+                                      None, None, "--expected-period"),
+    # a value rejected deep in the code before, with a message naming no flag
+    "flag-zero-window": (["count", "--window", "0"], None, None, "--window"),
+    "flag-decreasing-levels": (["defend", "curve", "--levels", "5,2"], None, None,
+                               "--levels: entry 1"),
+    "config-repeated-level": (["defend", "curve"], {"levels": "0,2,2"}, None,
+                              "'levels': entry 2"),
     # a string outside its choices, checked where it is read
     "config-bad-layout": (["cv", "--k", "2"], {"layout": "stat9"}, None, "'layout'"),
     "config-bad-model": (["train"], {"model": "xyz"}, None, "'model'"),
@@ -212,6 +225,7 @@ def test_model_flags_come_from_the_families(command, flags):
 def test_every_family_round_trips_with_its_kind(tmp_path):
     import numpy as np
 
+    from counterscope.features import Fingerprinter, NormalizationStats
     from counterscope.models import FAMILIES, load_model, save_model
 
     X = np.array([[0.0, 1.0], [0.2, 0.9], [1.0, 0.0], [0.9, 0.1]])
@@ -219,8 +233,10 @@ def test_every_family_round_trips_with_its_kind(tmp_path):
     for kind, family in FAMILIES.items():
         model = family.trainer(X, labels, **({"k": 1} if kind == "knn" else {}))
         path = str(tmp_path / f"{kind}.json")
-        save_model(model, path)
-        loaded, context = load_model(path)
-        assert context["kind"] == kind
+        norm = NormalizationStats({"m_a": (0.0, 1.0)})
+        save_model(Fingerprinter(["m_a"], "stat2", norm, model), path)
+        with open(path) as fh:
+            assert json.load(fh)["kind"] == kind
+        loaded = load_model(path).model
         assert type(loaded) is family.model
         assert loaded.to_dict() == model.to_dict()

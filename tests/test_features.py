@@ -103,27 +103,43 @@ class TestStatFeatures:
 
     @pytest.mark.parametrize("layout, width", [("stat4", 4), ("stat2", 2)])
     def test_bit_equal_to_per_series_summarize(self, layout, width):
-        """The reduction over each item's (metrics, seconds) block gives the
-        bytes one summarize() call per series gives: lengths 1-40 and a few
-        long enough for pairwise summation to split, unequal items, and a
-        constant metric (sigma 0)."""
+        """The z-scored (metrics, seconds) block of each item, and the stat
+        features and sequences built from it, give the bytes one z-score and
+        one summarize() call per series give: lengths 1-40 and a few long
+        enough for pairwise summation to split, unequal items, a constant
+        metric (sigma 0) and one whose values sit off its fitted constant,
+        which must read +0.0 either way."""
         from counterscope.stats import summarize
 
         rng = np.random.default_rng(11)
-        metrics = ("m_a", "m_b", "m_const", "m_c")
+        metrics = ("m_a", "m_b", "m_const", "m_c", "m_off")
         lengths = [*range(1, 41), 129, 600, 9000]
         cols = [[rng.standard_normal(n) * 1e3 + 7, rng.exponential(size=n),
-                 np.full(n, 4.25), rng.standard_normal(n) * 1e-7] for n in lengths]
+                 np.full(n, 4.25), rng.standard_normal(n) * 1e-7, np.full(n, -2.0)]
+                for n in lengths]
         corpus = corpus_of(cols, metrics)
         norm = fit_normalizer(corpus, list(metrics))
         assert norm.stats["m_const"][1] == 0.0
-        chosen = ["m_c", "m_const", "m_a", "m_b"]
+        norm = NormalizationStats({**norm.stats, "m_off": (9.0, 0.0)})
+        chosen = ["m_c", "m_off", "m_const", "m_a", "m_b"]
+
+        def zscore(m, values):  # the per-series reference
+            mu, sigma = norm.stats[m]
+            return np.zeros_like(values) if sigma == 0.0 else (values - mu) / sigma
+
+        series = [[zscore(m, item.trace.values(m)) for m in chosen] for item in corpus]
+        for block, want in zip(norm.zscore(corpus, chosen), series):
+            assert block.flags.c_contiguous
+            assert block.tobytes() == np.array(want).tobytes()
         fm = build_stat_features(corpus, chosen, norm, layout)
-        want = np.array([[v for m in chosen
-                          for v in summarize(norm.apply(m, item.trace.values(m)))[:width]]
-                         for item in corpus])
+        want = np.array([[v for z in zs for v in summarize(z)[:width]] for zs in series])
         assert fm.values.shape == want.shape
         assert fm.values.tobytes() == want.tobytes()
+        seq = build_sequences(corpus, chosen, norm).values
+        for row, zs in zip(seq, series):
+            flat = np.column_stack(zs).reshape(-1)
+            assert row[:flat.size].tobytes() == flat.tobytes()
+            assert not row[flat.size:].any()
 
     def test_no_metrics_or_no_items(self):
         corpus = corpus_of([[[1, 2], [3, 4]]])
@@ -139,8 +155,8 @@ class TestLeakageGuard:
                 for _ in range(5)]
         train = corpus_of(cols)
         norm = fit_normalizer(train, ["m_a", "m_b"])
-        for m in ("m_a", "m_b"):
-            z = np.concatenate([norm.apply(m, it.trace.values(m)) for it in train])
+        for j in range(2):
+            z = np.concatenate([block[j] for block in norm.zscore(train, ["m_a", "m_b"])])
             assert abs(z.mean()) < 1e-9
             assert abs(z.std() - 1.0) < 1e-9
 
@@ -159,8 +175,8 @@ class TestSequences:
     def test_equal_lengths_no_padding(self):
         corpus = corpus_of([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
         norm = NormalizationStats({"m_a": (0.0, 1.0), "m_b": (0.0, 1.0)})
-        fm = build_sequences(corpus, ["m_a", "m_b"], norm, pad_value=-99.0)
-        assert not (fm.values == -99.0).any()
+        fm = build_sequences(corpus, ["m_a", "m_b"], norm)
+        assert fm.values.tolist() == [[1.0, 3.0, 2.0, 4.0], [5.0, 7.0, 6.0, 8.0]]
 
     def test_time_major_flattening(self):
         corpus = corpus_of([[[1, 2], [3, 4]]])

@@ -8,6 +8,7 @@ from counterscope.errors import (
     SingleGroupError,
     UnknownLabelError,
 )
+from counterscope.features import Fingerprinter
 from counterscope.models import (
     EvaluationReport,
     evaluate,
@@ -19,6 +20,7 @@ from counterscope.models import (
     train_knn,
     train_rf,
 )
+from counterscope.traces import CorpusItem, LabeledCorpus, TraceSet
 
 
 class FixedModel:
@@ -69,7 +71,6 @@ class TestStratifiedSplit:
 
     def test_split_corpus_wrapper(self):
         from counterscope.models import split_corpus
-        from counterscope.traces import CorpusItem, LabeledCorpus, TraceSet
 
         items = [CorpusItem(TraceSet(["m_a"], np.full((3, 1), float(i))), f"c{i % 2}")
                  for i in range(10)]
@@ -134,8 +135,27 @@ def make_blob_data(n_per=10, k_classes=3, seed=0, gap=6.0):
     return X, y
 
 
+def blob_corpus(X, y, groups=None):
+    """Point i as item i: a one-second trace of its two coordinates, whose
+    sequence features are the point z-scored."""
+    groups = groups or [""] * len(y)
+    return LabeledCorpus([CorpusItem(TraceSet(["m_x", "m_y"], x[None, :]), label, group)
+                          for x, label, group in zip(X, y, groups)])
+
+
+def make_blob_corpus(*args, **kwargs):
+    return blob_corpus(*make_blob_data(*args, **kwargs))
+
+
+def fit_with(trainer):
+    return lambda train: Fingerprinter.fit(train, trainer, ["m_x", "m_y"], "sequence")
+
+
 def rf_trainer(X, y):
     return train_rf(X, y, n_trees=15, seed=0)
+
+
+rf_fit = fit_with(rf_trainer)
 
 
 class TestKfold:
@@ -144,32 +164,30 @@ class TestKfold:
         assert stratified_folds(y, 5, seed=3) == stratified_folds(y, 5, seed=3)
 
     def test_leave_one_out_when_k_equals_n(self):
-        X, y = make_blob_data(n_per=4, k_classes=2)
-        report = kfold_cv(X, y, rf_trainer, k=4, seed=0)
+        corpus = make_blob_corpus(n_per=4, k_classes=2)
+        report = kfold_cv(corpus, rf_fit, k=4, seed=0)
         assert len(report.folds) == 4
 
     def test_separable_data_perfect_mean(self):
-        X, y = make_blob_data()
-        report = kfold_cv(X, y, rf_trainer, k=5, seed=0)
+        report = kfold_cv(make_blob_corpus(), rf_fit, k=5, seed=0)
         assert report.fold_accuracy_mean == 1.0
         assert report.fold_accuracy_std == 0.0
 
     def test_pooled_confusion_counts_everything(self):
-        X, y = make_blob_data()
-        report = kfold_cv(X, y, rf_trainer, k=5, seed=0)
-        assert report.confusion.sum() == len(y)
+        corpus = make_blob_corpus()
+        report = kfold_cv(corpus, rf_fit, k=5, seed=0)
+        assert report.confusion.sum() == len(corpus)
 
     def test_class_smaller_than_k(self):
-        X, y = make_blob_data(n_per=3)
         with pytest.raises(LabelTooSmallError):
-            kfold_cv(X, y, rf_trainer, k=5, seed=0)
+            kfold_cv(make_blob_corpus(n_per=3), rf_fit, k=5, seed=0)
 
 
 class TestLopo:
     def test_one_fold_per_group(self):
         X, y = make_blob_data(n_per=12, k_classes=2)
         groups = [f"g{i % 6}" for i in range(len(y))]
-        report = lopo_cv(X, y, groups, rf_trainer)
+        report = lopo_cv(blob_corpus(X, y, groups), rf_fit)
         assert len(report.folds) == 6
 
     def test_identical_groups_separable(self):
@@ -178,43 +196,41 @@ class TestLopo:
         # interleave labels across groups so each group sees both classes
         y = ["c0"] * 5 + ["c1"] * 5 + ["c0"] * 5 + ["c1"] * 5
         X = np.vstack([X[:5], X[10:15], X[5:10], X[15:20]])
-        report = lopo_cv(X, y, groups, rf_trainer)
+        report = lopo_cv(blob_corpus(X, y, groups), rf_fit)
         assert all(f.accuracy == 1.0 for f in report.folds)
 
     def test_single_group_rejected(self):
         X, y = make_blob_data(n_per=4, k_classes=2)
         with pytest.raises(SingleGroupError):
-            lopo_cv(X, y, ["g0"] * len(y), rf_trainer)
+            lopo_cv(blob_corpus(X, y, ["g0"] * len(y)), rf_fit)
 
 
 class TestGridSearch:
     def family(self, params):
-        return lambda X, y: train_knn(X, y, **params)
+        return fit_with(lambda X, y: train_knn(X, y, **params))
 
     def test_singleton_grid(self):
-        X, y = make_blob_data()
-        best, report = grid_search(X, y, self.family, [{"k": 3}], k=3, seed=0)
+        best, report = grid_search(make_blob_corpus(), self.family, [{"k": 3}], k=3, seed=0)
         assert best == {"k": 3}
         assert report.fold_accuracy_mean == 1.0
 
     def test_dominant_configuration_wins(self):
         # k=1 is perfect on separated blobs; k equal to fold-train size forces
         # every prediction to the global majority and loses
-        X, y = make_blob_data(n_per=6, k_classes=2, gap=8.0)
+        corpus = make_blob_corpus(n_per=6, k_classes=2, gap=8.0)
         grid = [{"k": 8}, {"k": 1}]
-        best, _ = grid_search(X, y, self.family, grid, k=3, seed=0)
+        best, _ = grid_search(corpus, self.family, grid, k=3, seed=0)
         assert best == {"k": 1}
         # exhaustive re-evaluation agrees
-        scores = [kfold_cv(X, y, self.family(g), k=3, seed=0).fold_accuracy_mean
+        scores = [kfold_cv(corpus, self.family(g), k=3, seed=0).fold_accuracy_mean
                   for g in grid]
         assert scores[1] > scores[0]
 
     def test_tie_takes_first_grid_entry(self):
-        X, y = make_blob_data()
-        best, _ = grid_search(X, y, self.family, [{"k": 1}, {"k": 2}], k=3, seed=0)
+        best, _ = grid_search(make_blob_corpus(), self.family, [{"k": 1}, {"k": 2}],
+                              k=3, seed=0)
         assert best == {"k": 1}
 
     def test_empty_grid_rejected(self):
-        X, y = make_blob_data()
         with pytest.raises(EmptyGridError):
-            grid_search(X, y, self.family, [], k=3, seed=0)
+            grid_search(make_blob_corpus(), self.family, [], k=3, seed=0)

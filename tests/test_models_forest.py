@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from counterscope.errors import DegenerateInputError
 from counterscope.models import RandomForestModel, train_rf
+from counterscope.features import Fingerprinter, NormalizationStats
 from counterscope.models.serialize import load_model, save_model
 from forest_reference import reference_proba, train_reference
 
@@ -131,12 +132,14 @@ def test_serialization_round_trip(tmp_path):
     q = rng.standard_normal((20, 5))
     model = train_rf(X, y, n_trees=12, seed=3)
     path = tmp_path / "model.json"
-    save_model(model, path, metrics=["m_a"], layout="stat4")
-    loaded, context = load_model(path)
-    assert isinstance(loaded, RandomForestModel)
-    assert loaded.predict(q) == model.predict(q)
-    assert context["metrics"] == ["m_a"]
-    assert context["layout"] == "stat4"
+    norm = NormalizationStats({"m_a": (1.5, 2.0)})
+    save_model(Fingerprinter(["m_a"], "stat4", norm, model), path)
+    loaded = load_model(path)
+    assert isinstance(loaded.model, RandomForestModel)
+    assert loaded.model.predict(q) == model.predict(q)
+    assert loaded.metrics == ["m_a"]
+    assert loaded.layout == "stat4"
+    assert loaded.normalizer == norm
 
 
 # The recursive forest the lockstep one replaced, grown the old way; the two

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from counterscope.errors import DegenerateInputError
+from counterscope.features import Fingerprinter, NormalizationStats
 from counterscope.models import train_knn, train_linear_svm
 from counterscope.models.serialize import load_model, save_model
+
+
+def fingerprinter(model):
+    """`model` in a Fingerprinter, the form save_model writes."""
+    return Fingerprinter(["m_a"], "stat4", NormalizationStats({"m_a": (0.0, 1.0)}), model)
 
 
 def blobs(seed=0, n_per=40, gap=4.0):
@@ -43,8 +49,8 @@ class TestLinearSvm:
         X, y = blobs()
         model = train_linear_svm(X, y, seed=1)
         path = tmp_path / "svm.json"
-        save_model(model, path)
-        loaded, _ = load_model(path)
+        save_model(fingerprinter(model), path)
+        loaded = load_model(path).model
         assert loaded.predict(X) == model.predict(X)
 
 
@@ -76,6 +82,6 @@ class TestKnn:
         X, y = blobs()
         model = train_knn(X, y, k=3)
         path = tmp_path / "knn.json"
-        save_model(model, path)
-        loaded, _ = load_model(path)
+        save_model(fingerprinter(model), path)
+        loaded = load_model(path).model
         assert loaded.predict(X[:7]) == model.predict(X[:7])

@@ -2,6 +2,7 @@ import numpy as np
 
 from counterscope.models import train_mlp
 from counterscope.models.mlp import MlpParams, init_params, loss_and_grads
+from counterscope.features import Fingerprinter, NormalizationStats
 from counterscope.models.serialize import load_model, save_model
 
 
@@ -92,6 +93,7 @@ def test_serialization_round_trip(tmp_path):
     y = [f"c{i % 2}" for i in range(30)]
     model = train_mlp(X, y, hidden_size=8, epochs=10, seed=0)
     path = tmp_path / "mlp.json"
-    save_model(model, path)
-    loaded, _ = load_model(path)
+    save_model(Fingerprinter(["m_a"], "stat4", NormalizationStats({"m_a": (0.0, 1.0)}),
+                             model), path)
+    loaded = load_model(path).model
     np.testing.assert_array_equal(loaded.predict_proba(X), model.predict_proba(X))
