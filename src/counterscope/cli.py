@@ -17,6 +17,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -520,6 +521,7 @@ def _add_model_flags(sub, keys=None):
             sub.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
 
 
+@functools.cache  # parsing leaves the parser as it was, so main() reuses one
 def build_parser() -> _Parser:
     parser = _Parser(prog="counterscope",
                      description="GPU-counter side-channel pipeline at desk scale")

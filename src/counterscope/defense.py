@@ -34,6 +34,7 @@ DEFAULT_MIN_EVENTS = 20
 DEFAULT_CV_THRESHOLD = 0.1
 DEFAULT_EXPECTED_PERIOD_S = 1.0
 DEFAULT_PERIOD_TOLERANCE_S = 0.25
+CURVE_TRAIN_FRACTION = 0.8  # share of each label's items the curve's model trains on
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,6 @@ class DegradationCurve:
 
 def evaluate_countermeasure(corpus: LabeledCorpus, trainer,
                             levels: list[NoiseStrategy], seed: int = 0,
-                            train_fraction: float = 0.8,
                             catalog: MetricCatalog | None = None,
                             profile: dict[str, MetricResponse] | None = None):
     """Accuracy/macro-F1 of a fixed clean-trained model against perturbed tests.
@@ -207,7 +207,7 @@ def evaluate_countermeasure(corpus: LabeledCorpus, trainer,
     from .catalog import builtin_catalog
 
     catalog = catalog if catalog is not None else builtin_catalog()
-    train_idx, test_idx = stratified_split(corpus.labels(), train_fraction, seed)
+    train_idx, test_idx = stratified_split(corpus.labels(), CURVE_TRAIN_FRACTION, seed)
     train = corpus.subset(train_idx)
     test = corpus.subset(test_idx)
     fp = Fingerprinter.fit(train, trainer, corpus.metrics, "stat4")

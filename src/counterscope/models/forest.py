@@ -13,10 +13,26 @@ generator in its own depth-first order, so the forest is exactly the one
 that growing the trees one at a time, recursively, would give. A fitted tree
 is a set of flat arrays (feature, threshold, left, right, value), the layout
 scikit-learn uses.
+
+A tree's random stream (its generator, its bootstrap rows, then one draw of
+candidate features per node it tries to split) depends only on the key
+(seed, n_trees, rows, width, feature_subsample), not on the values or the
+labels. So the streams are memoised per process, for the last _STREAM_KEYS
+keys fitted: a protocol that fits many forests of one shape (one per
+screened metric, one per fold) draws them once. An entry holds n_trees
+generators, n_trees * rows bootstrap rows and n_trees * feature_subsample
+candidates per draw slot, the slots doubling as the deepest tree needs
+them: 2.5 MB for 100 trees on 320 rows x 120 features, 20 classes.
+Trees cannot change with the memo: a fit reads tree t's k-th draw in the
+order the recursive descent would make it, a tree's list is extended from
+its own generator only when a fit needs a draw past its end, and a drawn
+but unused tail is never read. An extension that raises empties the memo,
+since the entry's generators may have moved past its lists.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,9 +240,62 @@ def train_rf(features, labels, n_trees: int = DEFAULT_N_TREES,
     m = feature_subsample if feature_subsample is not None else int(np.ceil(np.sqrt(d)))
     m = max(1, min(m, d))
     grower = _ForestGrower(X, y_idx, len(classes), max_depth, min_samples_split, m)
-    trees = grower.grow([np.random.default_rng(derive_seed(seed, t)) for t in range(n_trees)])
+    trees = grower.grow(_streams((seed, n_trees, X.shape[0], d, m)))
     return RandomForestModel(classes, n_trees, max_depth, min_samples_split,
                              m, seed, d, trees)
+
+
+# How many keys' streams the memo keeps; the least recently fitted goes first.
+# The app attack chain fits three: screen's forests, train's, and the one
+# shape that cv, lopo and defend curve share.
+_STREAM_KEYS = 4
+
+
+@functools.lru_cache(maxsize=_STREAM_KEYS)
+def _streams(key) -> _TreeStreams:
+    """The memo's entry for (seed, n_trees, rows, width, feature_subsample)."""
+    return _TreeStreams(key)
+
+
+class _TreeStreams:
+    """Every tree's random stream for one key: its generator, its bootstrap
+    rows (`boots`, tree after tree, read-only) and the sorted candidate
+    features of its draws so far (tree t's k-th is `_cand[t, k]`, for k
+    below `_drawn[t]`)."""
+
+    def __init__(self, key):
+        seed, n_trees, n, self.d, self.m = key
+        self.rngs = [np.random.default_rng(derive_seed(seed, t)) for t in range(n_trees)]
+        self.boots = np.concatenate([rng.integers(0, n, n) for rng in self.rngs])
+        self.boots.flags.writeable = False
+        self._drawn = np.zeros(n_trees, dtype=np.intp)
+        self._cand = np.zeros((n_trees, 8, self.m), dtype=np.intp)
+
+    def candidates(self, trees, k) -> np.ndarray:
+        """(len(trees), m) sorted candidates of draw k[i] of tree trees[i],
+        a new array; the trees are distinct and each k[i] is at most
+        `_drawn[trees[i]]`."""
+        short = trees[k >= self._drawn[trees]]
+        if short.size:
+            try:
+                self._extend(short)
+            except BaseException:
+                _streams.cache_clear()  # generators may have moved past their lists
+                raise
+        return self._cand[trees, k]
+
+    def _extend(self, trees):
+        """One more draw for each of the trees."""
+        new = np.sort(np.array([self.rngs[t].permutation(self.d)[:self.m]
+                                for t in trees.tolist()]), axis=1)
+        at = self._drawn[trees]
+        T, cap, m = self._cand.shape
+        if at.max() >= cap:
+            grown = np.zeros((T, 2 * cap, m), dtype=np.intp)
+            grown[:, :cap] = self._cand
+            self._cand = grown
+        self._cand[trees, at] = new
+        self._drawn[trees] += 1
 
 
 class _ForestGrower:
@@ -235,9 +304,9 @@ class _ForestGrower:
     Node rows are index arrays into the matrix (bootstrap rows repeat).
     Every new node is counted at once; a node that is pure, too small or at
     the depth limit becomes a leaf without touching its tree's generator.
-    Any other node waits on its tree's stack and, when popped, draws its
-    candidate features and is split, or becomes a leaf if no candidate
-    separates its rows.
+    Any other node waits on its tree's stack and, when popped, reads its
+    tree's next candidate draw and is split, or becomes a leaf if no
+    candidate separates its rows.
     """
 
     def __init__(self, X, y, n_classes, max_depth, min_samples_split, m):
@@ -251,12 +320,14 @@ class _ForestGrower:
         self.n, self.d, self.C, self.m = n, d, n_classes, m
         self.max_depth, self.min_samples_split = max_depth, min_samples_split
 
-    def grow(self, rngs) -> list[Tree]:
-        T = len(rngs)
+    def grow(self, streams: _TreeStreams) -> list[Tree]:
+        T = len(streams.rngs)
+        self.streams = streams
         self.stacks = [[] for _ in range(T)]
         self.next_id = np.ones(T, dtype=np.intp)
+        self.used = np.zeros(T, dtype=np.intp)   # candidate draws read, per tree
         self.records = []
-        boots = np.concatenate([rng.integers(0, self.n, self.n) for rng in rngs])
+        boots = streams.boots
         tree_of = np.repeat(np.arange(T), self.n)
         zeros = np.zeros(T, dtype=np.intp)
         self._admit(np.arange(T), zeros, zeros, boots, np.full(T, self.n),
@@ -265,7 +336,7 @@ class _ForestGrower:
             active = [t for t in range(T) if self.stacks[t]]
             if not active:
                 break
-            self._round(rngs, [(t, self.stacks[t].pop()) for t in active])
+            self._round([(t, self.stacks[t].pop()) for t in active])
         return self._assemble()
 
     def _counts(self, seg, rows, n_seg):
@@ -295,7 +366,7 @@ class _ForestGrower:
                                      ends[wait].tolist()):
             self.stacks[t].append((i, dep, flat[lo:hi].copy()))
 
-    def _round(self, rngs, entries):
+    def _round(self, entries):
         P = len(entries)
         trees = np.array([t for t, _ in entries])
         ids = np.array([e[0] for _, e in entries])
@@ -305,8 +376,8 @@ class _ForestGrower:
         flat = np.concatenate(rows)
         seg = np.repeat(np.arange(P), sizes)
         counts = self._counts(seg, flat, P)
-        cand = np.sort(np.array([rngs[t].permutation(self.d)[:self.m] for t, _ in entries]),
-                       axis=1)
+        cand = self.streams.candidates(trees, self.used[trees])
+        self.used[trees] += 1
         feature, threshold = self._best_splits(flat, sizes, counts, cand)
         split = feature >= 0
         q = np.flatnonzero(split)

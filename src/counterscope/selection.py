@@ -21,6 +21,7 @@ from .traces import LabeledCorpus
 
 DEFAULT_PRUNE_THRESHOLD = 0.90
 DEFAULT_SCREEN_THRESHOLD = 0.60
+SCREEN_TRAIN_FRACTION = 0.8  # share of each label's items the screen trains on
 PROFILER_METRIC_CAP = 30  # concurrent real-time counters the profiler tolerates
 
 
@@ -87,8 +88,7 @@ def correlation_prune(reference: LabeledCorpus, catalog_order: list[str],
 
 
 def accuracy_screen(corpus: LabeledCorpus, trainer, threshold_acc: float = DEFAULT_SCREEN_THRESHOLD,
-                    split_seed: int = 0, train_fraction: float = 0.8,
-                    metrics: list[str] | None = None) -> list[tuple[str, float]]:
+                    split_seed: int = 0) -> list[tuple[str, float]]:
     """Score each metric alone and keep those with accuracy > threshold_acc.
 
     trainer is a classifier factory: trainer(features, labels) -> model with
@@ -101,13 +101,12 @@ def accuracy_screen(corpus: LabeledCorpus, trainer, threshold_acc: float = DEFAU
         raise DataError(f"threshold_acc must be in (0, 1], got {threshold_acc}")
     if len(set(corpus.labels())) < 2:
         raise InsufficientLabelsError("screening needs >= 2 labels")
-    metric_list = list(metrics) if metrics is not None else corpus.metrics
-    order = {m: i for i, m in enumerate(metric_list)}
+    order = {m: i for i, m in enumerate(corpus.metrics)}
 
-    train, test = split_corpus(corpus, train_fraction, split_seed)
+    train, test = split_corpus(corpus, SCREEN_TRAIN_FRACTION, split_seed)
 
     passing: list[tuple[str, float]] = []
-    for m in metric_list:
+    for m in corpus.metrics:
         fp = Fingerprinter.fit(train, trainer, [m], LAYOUT_STAT4)
         report = evaluate(fp, test, test.labels())
         if report.accuracy > threshold_acc:

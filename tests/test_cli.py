@@ -188,6 +188,22 @@ class TestSubcommands:
         payload = json.loads(open(os.path.join(out, "count.json")).read())
         assert payload["count"] == 3
 
+    def test_flags_do_not_carry_over_to_the_next_call(self, tmp_path, catalog):
+        """main() reuses one parser; a flag of one call must not become the
+        default of the next."""
+        from counterscope.simulator import avatar_staircase
+        from counterscope.traces import write_wide_csv
+
+        trace_path = str(tmp_path / "stairs.csv")
+        write_wide_csv(avatar_staircase(3, 5, catalog, noise_sigma=0.0).traces, trace_path)
+        windows = []
+        for name, flags in (("with", ["--window", "5"]), ("without", [])):
+            out = str(tmp_path / name)
+            assert run_cli(["count", "--trace", trace_path, *flags, "--out", out]) == 0
+            windows.append(json.loads(open(os.path.join(out, "effective_config.json")).read())
+                           ["window"])
+        assert windows == [5, 3]
+
     def test_correlate(self, scene_file, tmp_path):
         sim = str(tmp_path / "sim")
         run_cli(["simulate", scene_file, "--out", sim])

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from counterscope.errors import DegenerateInputError
-from counterscope.models import RandomForestModel, train_rf
+from counterscope.models import RandomForestModel, forest, train_rf
 from counterscope.features import Fingerprinter, NormalizationStats
 from counterscope.models.serialize import load_model, save_model
 from forest_reference import reference_proba, train_reference
@@ -169,10 +169,13 @@ def forest_problems(draw):
     return X, [f"k{c}" for c in codes], params, queries
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(forest_problems())
-def test_matches_recursive_reference(problem):
+def _check_against_reference(problem, warm):
+    """Cold: the fit draws its trees' streams. Warm: a fit of the same shape
+    on the rows reversed drew them first, its trees deeper or shallower."""
     X, y, params, queries = problem
+    forest._streams.cache_clear()
+    if warm:
+        train_rf(X[::-1], y, **params)
     model = train_rf(X, y, **params)
     reference = train_reference(X, y, **params)
     assert json.dumps([t.to_dict() for t in model.trees]) == json.dumps(reference)
@@ -180,6 +183,18 @@ def test_matches_recursive_reference(problem):
     assert model.predict_proba(queries).tobytes() == want
     loaded = RandomForestModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert loaded.predict_proba(queries).tobytes() == want
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(forest_problems())
+def test_matches_recursive_reference(problem):
+    _check_against_reference(problem, warm=False)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(forest_problems())
+def test_matches_recursive_reference_with_a_warm_memo(problem):
+    _check_against_reference(problem, warm=True)
 
 
 def test_matches_recursive_reference_on_wide_many_class_matrix():
@@ -190,3 +205,103 @@ def test_matches_recursive_reference_on_wide_many_class_matrix():
     reference = train_reference(X, y, n_trees=6, seed=4)
     assert json.dumps([t.to_dict() for t in model.trees]) == json.dumps(reference)
     assert model.predict_proba(X).tobytes() == reference_proba(reference, X, 12).tobytes()
+
+
+# The per-process memo of tree streams: a fit must not depend on what the
+# memo held before it.
+
+def _dicts(model):
+    return json.dumps(model.to_dict())
+
+
+def _shallow_and_deep(n=60, d=5):
+    """Two problems of one shape: every tree of the first splits once, on
+    whichever feature it draws; trees of the second need many draws (more
+    than the first slots hold)."""
+    halves = np.arange(n) % 2
+    shallow = (np.repeat(halves[:, None], d, axis=1) + 0.0, [f"h{c}" for c in halves])
+    deep = (np.random.default_rng(5).integers(0, 4, (n, d)) + 0.0,
+            [f"c{c}" for c in np.arange(n) % 6])
+    return shallow, deep
+
+
+def test_cold_and_warm_memo_fit_equally():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((40, 6))
+    y = [f"c{i % 4}" for i in range(40)]
+    forest._streams.cache_clear()
+    cold = train_rf(X, y, n_trees=12, seed=3)
+    warm = train_rf(X, y, n_trees=12, seed=3)
+    assert _dicts(warm) == _dicts(cold)
+
+
+def test_fits_that_interleave_keys_fit_as_cold_ones():
+    """Six keys, more than the memo keeps, fitted in an order that both
+    reuses and evicts entries; every fit equals one with the memo empty."""
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((30, 7))
+    y = [f"c{i % 3}" for i in range(30)]
+    shapes = [(30, dict(seed=1, n_trees=6)), (30, dict(seed=2, n_trees=6)),
+              (30, dict(seed=1, n_trees=4)), (30, dict(seed=1, n_trees=6, feature_subsample=1)),
+              (25, dict(seed=1, n_trees=6)), (25, dict(seed=3, n_trees=5, feature_subsample=7))]
+    assert len(shapes) > forest._STREAM_KEYS
+
+    def fit(i):
+        n, params = shapes[i]
+        return _dicts(train_rf(X[:n], y[:n], **params))
+
+    cold = []
+    for i in range(len(shapes)):
+        forest._streams.cache_clear()
+        cold.append(fit(i))
+    forest._streams.cache_clear()
+    for i in (0, 1, 0, 2, 1, 0, 3, 4, 5, 0, 1, 2, 5, 4, 4):
+        assert fit(i) == cold[i], i
+    info = forest._streams.cache_info()
+    assert info.hits >= 5 and info.misses > len(shapes)  # reused and evicted
+    assert info.currsize == forest._STREAM_KEYS
+
+
+def test_a_tree_that_outgrows_its_draws_extends_them():
+    shallow, deep = _shallow_and_deep()
+    forest._streams.cache_clear()
+    cold_deep = _dicts(train_rf(*deep, n_trees=5, seed=2))
+    forest._streams.cache_clear()
+    cold_shallow = _dicts(train_rf(*shallow, n_trees=5, seed=2))
+    entry = forest._streams((2, 5, 60, 5, 3))
+    assert entry._drawn.tolist() == [1] * 5
+    assert _dicts(train_rf(*deep, n_trees=5, seed=2)) == cold_deep
+    assert entry._cand.shape[1] >= entry._drawn.max() > 8  # past the first slots
+    # the longer lists serve both problems again
+    assert _dicts(train_rf(*shallow, n_trees=5, seed=2)) == cold_shallow
+    assert _dicts(train_rf(*deep, n_trees=5, seed=2)) == cold_deep
+
+
+def test_memo_bootstrap_rows_are_read_only():
+    forest._streams.cache_clear()
+    X, y = separable_1d()
+    train_rf(X, y, n_trees=3, seed=1)
+    entry = forest._streams((1, 3, 60, 1, 1))
+    assert forest._streams.cache_info().currsize == 1  # the fit's own entry
+    with pytest.raises(ValueError):
+        entry.boots[0] = 0
+
+
+def test_an_extension_that_raises_leaves_no_entry():
+    """The last tree's generator fails after the others drew; the entry,
+    whose other generators moved past their lists, leaves the memo, and the
+    next fit equals a cold one."""
+    class Failing:
+        def permutation(self, d):
+            raise RuntimeError("draw failed")
+
+    shallow, deep = _shallow_and_deep()
+    forest._streams.cache_clear()
+    cold_deep = _dicts(train_rf(*deep, n_trees=3, seed=4))
+    forest._streams.cache_clear()
+    train_rf(*shallow, n_trees=3, seed=4)
+    forest._streams((4, 3, 60, 5, 3)).rngs[-1] = Failing()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        train_rf(*deep, n_trees=3, seed=4)
+    assert forest._streams.cache_info().currsize == 0
+    assert _dicts(train_rf(*deep, n_trees=3, seed=4)) == cold_deep
