@@ -173,9 +173,9 @@ def builtin_catalog() -> MetricCatalog:
     return MetricCatalog(tuple(entries))
 
 
-_ENTRY = {"id": schema.Field(str), "display_name": schema.Field(str),
-          "category": schema.Field(str), "unit": schema.Field(str),
-          "direction": schema.Field(str, INCREASES)}
+_ENTRY = (schema.Param("id", str), schema.Param("display_name", str),
+          schema.Param("category", str), schema.Param("unit", str),
+          schema.Param("direction", str, INCREASES))
 
 
 def load_catalog(path) -> MetricCatalog:

@@ -6,9 +6,19 @@ fixed seed. Configuration precedence: flags > --config file > built-in
 defaults; the COUNTERSCOPE_SEED environment variable replaces the built-in
 default seed.
 
+COMMANDS declares every subcommand once: its handler, its help, its path
+arguments and its options. Each option is a schema.Param, the one place that
+gives its flag, its config key, its kind, its default, its bounds, its choices
+and its help; `counterscope <cmd> --help` lists them. The model options come
+from models.FAMILIES and the noise options from defense.STRATEGIES. A handler
+reads its options through RunConfig, which checks each value against its
+Param, names the flag or config key of a bad one, and records the value in
+effective_config.json.
+
 The model-taking commands go through features.Fingerprinter: train saves
 one, eval loads one, and cv, lopo, grid, screen and defend curve fit one on
-each training set they split off.
+each training set they split off. correlate's pixels file holds exactly one
+value column.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 internal
 error.
@@ -17,17 +27,23 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import plots, schema
 from .catalog import builtin_catalog, load_catalog
 from .defense import (
-    DummyRender,
+    DEFAULT_CV_THRESHOLD,
+    DEFAULT_EXPECTED_PERIOD_S,
+    DEFAULT_MIN_EVENTS,
+    DEFAULT_PERIOD_TOLERANCE_S,
+    STRATEGIES,
     GaussianNoise,
     detect_profiler_access,
     evaluate_countermeasure,
@@ -56,7 +72,15 @@ from .models import (
     train_mlp,
     train_rf,
 )
-from .selection import accuracy_screen, correlation_prune
+from .models.evaluation import DEFAULT_FOLDS
+from .schema import Param
+from .seeding import derive_seed
+from .selection import (
+    DEFAULT_PRUNE_THRESHOLD,
+    DEFAULT_SCREEN_THRESHOLD,
+    accuracy_screen,
+    correlation_prune,
+)
 from .simulator import (
     builtin_profile,
     generate_corpus,
@@ -67,13 +91,15 @@ from .simulator import (
 )
 from .stats import linreg, pearson
 from .stepcount import (
+    DEFAULT_MIN_GAP_S,
+    DEFAULT_WINDOW_S,
     default_min_jumps,
     detect_steps,
     known_metrics,
     min_jump_for,
     vote_participants,
 )
-from .traces import read_manifest, read_wide_csv, write_manifest, write_wide_csv
+from .traces import TraceSet, read_manifest, read_wide_csv, write_manifest, write_wide_csv
 
 SEED_ENV_VAR = "COUNTERSCOPE_SEED"
 EXIT_OK = 0
@@ -94,75 +120,85 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DataError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
+    env = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise DataError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-# the allowed values of string keys, for their flags and their config values
-_CHOICES = {"model": tuple(FAMILIES), "layout": LAYOUTS, "strategy": ("gaussian", "dummy")}
+# the options every subcommand takes
+_COMMON = (
+    Param("catalog", str, None, help="metric catalog JSON; unset: built-in"),
+    Param("profile", str, None, help="metric response profile JSON; unset: built-in"),
+    Param("seed", int, None,
+          help=f"RNG seed; unset: ${SEED_ENV_VAR}, else 0 (gen-corpus: the spec's seed)"),
+)
 
 
 class RunConfig:
-    """Resolved configuration: flag > config-file key > built-in default."""
+    """Resolved configuration of one subcommand: flag > config-file key >
+    the declared default, each value checked against its Param."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
+        self.name = args.subcommand
+        self.command = COMMANDS[self.name]
+        self.declared = {p.key: p for p in (*self.command.params, *_COMMON)}
         self.file_values = {}
-        if getattr(args, "config", None):
+        if args.config:
             self.file_values = schema.read(schema.load_json(args.config), dict,
                                            f"{args.config}: a config file")
-        self.resolved = {}
+        self.out = args.out
+        os.makedirs(self.out, exist_ok=True)
+        self.resolved = {"out": self.out}
 
-    def get(self, key: str, default=None, kind: type | None = None, minimum=None):
-        """The flag, else the config file's value, else `default`, read as
-        `kind` (by default the type of `default`) by schema.read."""
-        value = getattr(self.args, key, None)
+    def read(self, p: Param):
+        """The flag, else the config file's value, else p.default, checked
+        against `p` and recorded."""
+        value = getattr(self.args, p.key, None)
         if value is None:
-            value = self.file_values.get(key, default)
-        if value is not default:  # a default needs no check
-            kind = kind or type(default)
-            value = schema.read(value, kind, self.where(key), minimum, _CHOICES.get(key),
-                                default is None)
-            value = float(value) if kind is float and value is not None else value
-        self.resolved[key] = value
+            value = self.file_values.get(p.key, p.default)
+        if value is not p.default:  # a default needs no check
+            value = p.read(value, self.where(p.key))
+            value = float(value) if p.kind is float and value is not None else value
+        self.resolved[p.key] = value
         return value
 
+    def get(self, key: str):
+        """The value of the subcommand's option `key`."""
+        return self.read(self.declared[key])
+
+    def params(self, *keys: str) -> dict:
+        """{library keyword: value} of the subcommand's options `keys`."""
+        return {self.declared[key].keyword: self.get(key) for key in keys}
+
     def where(self, key: str) -> str:
-        """Where the value of `key` came from: its flag, else the config file."""
+        """Where the value of `key` came from: its flag, the config file, or
+        the default."""
+        flag = "--" + key.replace("_", "-")
         if getattr(self.args, key, None) is not None:
-            return "--" + key.replace("_", "-")
-        return f"{self.args.config}: field {key!r}"
+            return flag
+        if key in self.file_values:
+            return f"{self.args.config}: field {key!r}"
+        return "default " + flag
 
     def seed(self) -> int:
-        """The seed reduced modulo 2**64, as derive_seed does: -1 is 2**64 - 1."""
-        return self.get("seed", _default_seed()) % 2**64
-
-    def out_dir(self) -> str:
-        out = getattr(self.args, "out")
-        os.makedirs(out, exist_ok=True)
-        self.resolved["out"] = out
-        return out
+        """The seed, by default $COUNTERSCOPE_SEED or 0, reduced modulo 2**64
+        as derive_seed does: -1 is 2**64 - 1."""
+        return self.read(self.declared["seed"]._replace(default=_default_seed())) % 2**64
 
     def catalog(self):
-        path = self.get("catalog", None, str)
+        path = self.get("catalog")
         return load_catalog(path) if path else builtin_catalog()
 
     def profile(self):
-        path = self.get("profile", None, str)
+        path = self.get("profile")
         return load_profile(path) if path else builtin_profile()
 
-    def write_effective(self, out_dir: str, command: str) -> None:
-        payload = {"command": command}
-        payload.update(self.resolved)
-        with open(os.path.join(out_dir, "effective_config.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+    def write_effective(self) -> None:
+        _write_json(os.path.join(self.out, "effective_config.json"),
+                    {"command": self.name.replace(" ", "-"), **self.resolved})
 
 
 def _write_json(path, payload) -> None:
@@ -180,16 +216,14 @@ def _trainer_factory(model_name: str, cfg: RunConfig, seed: int,
     defaults, with `overrides` (one grid entry) replacing params of the same
     name."""
     family = FAMILIES[model_name]
-    params = {p.arg: seed if p.key == "seed" else cfg.get(p.key, p.default, p.kind, p.minimum)
-              for p in family.params}
-    declared = {p.arg: p for p in family.params}
+    params = {p.keyword: seed if p.key == "seed" else cfg.read(p) for p in family.params}
+    declared = {p.keyword: p for p in family.params}
     for key, value in (overrides or {}).items():
         if key not in declared:
             raise DataError(f"unknown {model_name} parameter {key!r}; "
                             f"known: {', '.join(params)}")
         p = declared[key]
-        params[key] = schema.read(value, p.kind, repr(key), p.minimum,
-                                  nullable=p.default is None)
+        params[key] = p.read(value, repr(key))
     # Looked up by name in this module's globals when it runs, so a wrapper
     # installed at counterscope.cli.train_rf (say) sees every fit.
     name = family.trainer.__name__
@@ -200,7 +234,7 @@ def _fitter(cfg: RunConfig, model_name: str, seed: int, overrides: dict | None =
     """(fit, params): fit(train corpus) -> a Fingerprinter over every corpus
     metric in the configured layout, with the trainer of _trainer_factory."""
     trainer, params = _trainer_factory(model_name, cfg, seed, overrides)
-    layout = cfg.get("layout", LAYOUT_STAT4)
+    layout = cfg.get("layout")
     return lambda train: Fingerprinter.fit(train, trainer, train.metrics, layout), params
 
 
@@ -216,14 +250,11 @@ def _report_outputs(report, out_dir: str) -> None:
 # subcommands
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_simulate(cfg: RunConfig, out: str) -> None:
     script = load_script(cfg.args.scene)
     catalog = cfg.catalog()
     result = simulate(script, catalog, cfg.profile())
     write_wide_csv(result.traces, os.path.join(out, "trace.csv"))
-    from .traces import TraceSet
-
     pixels = TraceSet(["pixels"], result.ground_truth_pixels.reshape(-1, 1))
     write_wide_csv(pixels, os.path.join(out, "pixels.csv"))
     _write_json(os.path.join(out, "events.json"),
@@ -237,71 +268,54 @@ def cmd_simulate(cfg: RunConfig) -> int:
                         title="simulated metric fingerprint",
                         x_label="seconds", y_label="normalized value",
                         normalize=True)
-    cfg.write_effective(out, "simulate")
     print(f"simulated {result.traces.n_seconds}s x {len(result.traces.metrics)} metrics -> {out}")
-    return EXIT_OK
 
 
-def cmd_gen_corpus(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_gen_corpus(cfg: RunConfig, out: str) -> None:
     spec = load_corpus_spec(cfg.args.corpus_spec)
-    seed_flag = cfg.get("seed", None, int)
+    seed_flag = cfg.get("seed")
     if seed_flag is not None:
-        import dataclasses
-
         spec = dataclasses.replace(spec, seed=seed_flag)
     corpus = generate_corpus(spec, cfg.catalog(), cfg.profile())
     manifest = write_manifest(corpus, out)
-    cfg.write_effective(out, "gen-corpus")
     print(f"wrote {len(corpus)} traces and {manifest}")
-    return EXIT_OK
 
 
-def cmd_prune(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_prune(cfg: RunConfig, out: str) -> None:
     corpus = read_manifest(cfg.args.manifest)
     catalog = cfg.catalog()
-    threshold = cfg.get("threshold", 0.90)
-    report = correlation_prune(corpus, catalog.ids(), threshold)
+    options = cfg.params("threshold")
+    report = correlation_prune(corpus, catalog.ids(), **options)
     report.to_json(os.path.join(out, "prune_report.json"))
-    cfg.write_effective(out, "prune")
     print(f"retained {len(report.retained)} of "
           f"{len(report.retained) + len(report.dropped)} metrics "
-          f"(threshold {threshold})")
+          f"(threshold {options['threshold']})")
     for d in report.dropped:
         print(f"  dropped {d.dropped} (r={d.r:+.3f} with {d.kept})")
-    return EXIT_OK
 
 
-def cmd_screen(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_screen(cfg: RunConfig, out: str) -> None:
     corpus = read_manifest(cfg.args.manifest)
     seed = cfg.seed()
-    threshold = cfg.get("threshold_acc", 0.60)
-    trainer, _ = _trainer_factory("rf", cfg, seed)
-    passing = accuracy_screen(corpus, trainer, threshold, seed)
+    options = cfg.params("threshold_acc")
+    trainer, _ = _trainer_factory("rf", cfg, seed)  # screening always uses the forest
+    passing = accuracy_screen(corpus, trainer, split_seed=seed, **options)
     _write_json(os.path.join(out, "screened_metrics.json"),
                 [{"metric": m, "accuracy": a} for m, a in passing])
-    cfg.write_effective(out, "screen")
-    print(f"{len(passing)} metrics pass accuracy > {threshold}")
+    print(f"{len(passing)} metrics pass accuracy > {options['threshold_acc']}")
     for m, a in passing:
         print(f"  {m}: {a:.3f}")
-    return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_train(cfg: RunConfig, out: str) -> None:
     corpus = read_manifest(cfg.args.manifest)
-    model_name = cfg.get("model", "rf")
+    model_name = cfg.get("model")
     fit, params = _fitter(cfg, model_name, cfg.seed())
     save_model(fit(corpus), os.path.join(out, "model.json"))
-    cfg.write_effective(out, "train")
     print(f"trained {model_name} ({params}) on {len(corpus)} items -> {out}/model.json")
-    return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_eval(cfg: RunConfig, out: str) -> None:
     corpus = read_manifest(cfg.args.manifest)
     path = cfg.args.model_file
     fp = load_model(path)
@@ -315,42 +329,33 @@ def cmd_eval(cfg: RunConfig) -> int:
     except UnknownLabelError as exc:
         raise UnknownLabelError(f"{cfg.args.manifest}: {exc} ({path}: field 'classes')") from None
     _report_outputs(report, out)
-    cfg.write_effective(out, "eval")
     print(f"accuracy {report.accuracy:.4f}  macro-F1 {report.macro_f1:.4f}")
-    return EXIT_OK
 
 
-def cmd_cv(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_cv(cfg: RunConfig, out: str) -> None:
     corpus = read_manifest(cfg.args.manifest)
     seed = cfg.seed()
-    k = cfg.get("k", 5)
-    fit, _ = _fitter(cfg, cfg.get("model", "rf"), seed)
+    k = cfg.get("k")
+    fit, _ = _fitter(cfg, cfg.get("model"), seed)
     report = kfold_cv(corpus, fit, k=k, seed=seed)
     _report_outputs(report, out)
-    cfg.write_effective(out, "cv")
     print(f"{k}-fold accuracy {report.fold_accuracy_mean:.4f} "
           f"+/- {report.fold_accuracy_std:.4f}")
-    return EXIT_OK
 
 
-def cmd_lopo(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_lopo(cfg: RunConfig, out: str) -> None:
     corpus = read_manifest(cfg.args.manifest)
-    fit, _ = _fitter(cfg, cfg.get("model", "rf"), cfg.seed())
+    fit, _ = _fitter(cfg, cfg.get("model"), cfg.seed())
     report = lopo_cv(corpus, fit)
     _report_outputs(report, out)
-    cfg.write_effective(out, "lopo")
     print(f"LOPO over {len(report.folds)} groups: accuracy "
           f"{report.fold_accuracy_mean:.4f} +/- {report.fold_accuracy_std:.4f}")
-    return EXIT_OK
 
 
-def cmd_grid(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_grid(cfg: RunConfig, out: str) -> None:
     corpus = read_manifest(cfg.args.manifest)
     seed = cfg.seed()
-    model_name = cfg.get("model", "rf")
+    model_name = cfg.get("model")
     _trainer_factory(model_name, cfg, seed)  # the flags and config values, checked once
     grid = schema.load_json(cfg.args.grid)
     for i, entry in enumerate(schema.read(grid, list, f"{cfg.args.grid}: a grid")):
@@ -358,26 +363,22 @@ def cmd_grid(cfg: RunConfig) -> int:
             _trainer_factory(model_name, cfg, seed, schema.read(entry, dict, "an entry"))
     best_params, report = grid_search(
         corpus, lambda entry: _fitter(cfg, model_name, seed, entry)[0], grid,
-        k=cfg.get("k", 5), seed=seed)
+        seed=seed, **cfg.params("k"))
     _write_json(os.path.join(out, "best_params.json"), best_params)
     _report_outputs(report, out)
-    cfg.write_effective(out, "grid")
     print(f"best params {best_params}: accuracy "
           f"{report.fold_accuracy_mean:.4f} +/- {report.fold_accuracy_std:.4f}")
-    return EXIT_OK
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_count(cfg: RunConfig, out: str) -> None:
     trace = read_wide_csv(cfg.args.trace)
     catalog = cfg.catalog()
-    window = cfg.get("window", 3, minimum=1)
-    gap = cfg.get("gap", 3, minimum=0)
-    min_jump = cfg.get("min_jump", None, float, minimum=0)
+    detection = cfg.params("window", "gap")
+    min_jump = cfg.get("min_jump")
     jumps = (min_jump if min_jump is not None
              else default_min_jumps(cfg.profile(), metrics=trace.metrics))
     # one detection per metric feeds both the vote and steps.csv
-    events = {m: detect_steps(trace.values(m), min_jump_for(jumps, m), window, gap)
+    events = {m: detect_steps(trace.values(m), min_jump_for(jumps, m), **detection)
               for m in known_metrics(trace, catalog)}
     count, per_metric = vote_participants(events, catalog)
     from .stepcount import steps_to_csv
@@ -385,18 +386,19 @@ def cmd_count(cfg: RunConfig) -> int:
     steps_to_csv(events, os.path.join(out, "steps.csv"))
     _write_json(os.path.join(out, "count.json"),
                 {"count": count, "per_metric": per_metric})
-    cfg.write_effective(out, "count")
     print(f"estimated participants: {count}")
-    return EXIT_OK
 
 
-def cmd_correlate(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_correlate(cfg: RunConfig, out: str) -> None:
     pixels = read_wide_csv(cfg.args.pixels)
+    if len(pixels.metrics) != 1:
+        raise SchemaError(f"{cfg.args.pixels}: a pixels file must hold exactly one value "
+                          f"column, got {len(pixels.metrics)}")
     trace = read_wide_csv(cfg.args.trace)
-    metric = cfg.get("metric", "non_base_level_textures")
+    metric = cfg.get("metric")
     x = pixels.matrix[:, 0]
-    y = trace.values(metric)
+    with schema.located(f"{cfg.args.trace}: {cfg.where('metric')}"):
+        y = trace.values(metric)
     if x.size != y.size:
         raise DataError(f"pixels ({x.size}s) and trace ({y.size}s) lengths differ")
     fit = linreg(x, y)
@@ -409,74 +411,51 @@ def cmd_correlate(cfg: RunConfig) -> int:
                     os.path.join(out, "correlation.svg"),
                     title=f"pixel coverage vs {metric}",
                     x_label="seconds", y_label="normalized value", normalize=True)
-    cfg.write_effective(out, "correlate")
     print(f"pearson {r:.4f}  r_squared {fit.r_squared:.4f}  "
           f"slope {fit.slope:.4f}  intercept {fit.intercept:.4f}")
-    return EXIT_OK
 
 
-def _strategy_from_cfg(cfg: RunConfig, seed: int):
-    kind = cfg.get("strategy", "gaussian")
-    if kind == "gaussian":
-        return GaussianNoise(cfg.get("sigma", 1.0), seed=seed)
-    return DummyRender(cfg.get("rate", 1.0), size_s=cfg.get("size", 2.0),
-                       depth_z=cfg.get("depth", 2.0), seed=seed)
-
-
-def cmd_defend_inject(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_defend_inject(cfg: RunConfig, out: str) -> None:
     trace = read_wide_csv(cfg.args.trace)
-    strategy = _strategy_from_cfg(cfg, cfg.seed())
+    seed = cfg.seed()
+    cls, params = STRATEGIES[cfg.get("strategy")]
+    strategy = cls(**cfg.params(*(p.key for p in params)), seed=seed)
     noisy = inject_noise(trace, strategy, cfg.catalog(), cfg.profile())
     write_wide_csv(noisy, os.path.join(out, "injected.csv"))
-    cfg.write_effective(out, "defend-inject")
     print(f"injected {strategy} -> {out}/injected.csv")
-    return EXIT_OK
 
 
-def cmd_defend_detect(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_defend_detect(cfg: RunConfig, out: str) -> None:
     log = read_access_log(cfg.args.log)
-    verdict = detect_profiler_access(
-        log,
-        min_events=cfg.get("min_events", 20, minimum=1),
-        cv_threshold=cfg.get("cv_threshold", 0.1, minimum=0),
-        expected_period_s=cfg.get("expected_period", 1.0, minimum=0),
-        period_tolerance=cfg.get("period_tolerance", 0.25, minimum=0))
+    verdict = detect_profiler_access(log, **cfg.params(
+        "min_events", "cv_threshold", "expected_period", "period_tolerance"))
     _write_json(os.path.join(out, "verdict.json"), verdict.to_dict())
-    cfg.write_effective(out, "defend-detect")
     print(f"flagged={verdict.flagged} cv={verdict.cv:.4f} n={verdict.n_events}"
           + (f" period={verdict.estimated_period_s:.3f}s" if verdict.flagged else ""))
-    return EXIT_OK
 
 
 def _levels(cfg: RunConfig) -> list[float]:
     """The noise levels: comma-separated sigma multipliers, each a finite
     number >= 0 and greater than the one before."""
-    raw, where = cfg.get("levels", "0,2,5,10,25"), cfg.where("levels")
+    raw, where = cfg.get("levels"), cfg.where("levels")
     levels = []
     for i, text in enumerate(raw.split(",")):
         try:
             value = float(text)
         except ValueError:
             raise SchemaError(f"{where}: entry {i} must be a number, got {text!r}") from None
-        levels.append(schema.read(value, float, f"{where}: entry {i}", minimum=0))
-        if i and levels[i] <= levels[i - 1]:
-            raise SchemaError(f"{where}: entry {i} must be greater than entry {i - 1} "
-                              f"({levels[i - 1]!r}), got {levels[i]!r}")
+        levels.append(schema.read(value, float, f"{where}: entry {i}", minimum=0,
+                                  above=levels[-1] if levels else None))
     return levels
 
 
-def cmd_defend_curve(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
+def cmd_defend_curve(cfg: RunConfig, out: str) -> None:
     corpus = read_manifest(cfg.args.manifest)
     seed = cfg.seed()
     sigmas = _levels(cfg)
-    from .seeding import derive_seed
-
     strategies = [GaussianNoise(s, seed=derive_seed(seed, i))
                   for i, s in enumerate(sigmas)]
-    trainer, _ = _trainer_factory(cfg.get("model", "rf"), cfg, seed)
+    trainer, _ = _trainer_factory(cfg.get("model"), cfg, seed)
     curve, clean = evaluate_countermeasure(
         corpus, trainer, strategies, seed=seed, catalog=cfg.catalog(),
         profile=cfg.profile())
@@ -489,156 +468,136 @@ def cmd_defend_curve(cfg: RunConfig) -> int:
         os.path.join(out, "degradation.svg"),
         title="attack accuracy vs injected noise",
         x_label="noise level (sigma multiplier)", y_label="score")
-    cfg.write_effective(out, "defend-curve")
     for p in curve.points:
         print(f"  level {p.level}: accuracy {p.accuracy:.4f} macro_f1 {p.macro_f1:.4f}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub, out_required: bool = True):
-    sub.add_argument("--out", required=out_required, help="output directory")
-    sub.add_argument("--config", help="JSON file of default parameter values")
-    sub.add_argument("--catalog", help="metric catalog JSON (default: built-in)")
-    sub.add_argument("--profile", help="metric response profile JSON (default: built-in)")
-    sub.add_argument("--seed", type=int, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+class Command(NamedTuple):
+    """A subcommand: its handler, its help, its path arguments (a bare name is
+    positional, a --name a required flag), its options, and the keys of the
+    FAMILIES parameters it takes as flags."""
+
+    handler: Callable[[RunConfig, str], None]  # (config, output directory)
+    help: str
+    paths: tuple[str, ...]
+    params: tuple[Param, ...] = ()
+    model_flags: tuple[str, ...] = ()
 
 
-def _add_model_flags(sub, keys=None):
-    """--model, --layout and a flag per FAMILIES parameter key (one --lr and
-    one --epochs for svm and mlp); `keys` keeps only the flags it names."""
-    flags = {"model": {"choices": list(FAMILIES), "help": "classifier family (default rf)"},
-             "layout": {"choices": list(LAYOUTS), "help": "feature layout (default stat4)"}}
+_PATHS = {"scene": "scene script JSON", "corpus_spec": "corpus spec JSON",
+          "manifest": "JSON-lines manifest of a labeled corpus",
+          "model_file": "model JSON written by train", "grid": "JSON array of parameter objects",
+          "trace": "wide CSV trace", "pixels": "pixel coverage CSV of exactly one value column",
+          "log": "one timestamp (seconds) per line"}
+_MODEL = Param("model", str, "rf", choices=tuple(FAMILIES), help="classifier family")
+_LAYOUT = Param("layout", str, LAYOUT_STAT4, choices=LAYOUTS, help="feature layout")
+_FOLDS = Param("k", int, DEFAULT_FOLDS, 2, help="folds")
+_ALL_MODEL = tuple(dict.fromkeys(p.key for f in FAMILIES.values() for p in f.params
+                                 if p.key != "seed"))  # the run seed is --seed
+
+COMMANDS = {
+    "simulate": Command(cmd_simulate, "render a scene script into trace + pixel CSVs",
+                        ("scene",)),
+    "gen-corpus": Command(cmd_gen_corpus, "generate a labeled corpus from a corpus spec",
+                          ("corpus_spec",)),
+    "prune": Command(cmd_prune, "pairwise-correlation metric pruning", ("--manifest",), (
+        Param("threshold", float, DEFAULT_PRUNE_THRESHOLD, above=0, maximum=1,
+              help="|r| redundancy threshold"),)),
+    "screen": Command(cmd_screen, "per-metric accuracy screening", ("--manifest",), (
+        Param("threshold_acc", float, DEFAULT_SCREEN_THRESHOLD, above=0, maximum=1,
+              help="accuracy floor"),), ("trees",)),
+    "train": Command(cmd_train, "train a classifier on a manifest corpus", ("--manifest",),
+                     (_MODEL, _LAYOUT), _ALL_MODEL),
+    "eval": Command(cmd_eval, "evaluate a saved model on a manifest corpus",
+                    ("--manifest", "--model-file")),
+    "cv": Command(cmd_cv, "stratified k-fold cross-validation", ("--manifest",),
+                  (_FOLDS, _MODEL, _LAYOUT), _ALL_MODEL),
+    "lopo": Command(cmd_lopo, "leave-one-group-out cross-validation", ("--manifest",),
+                    (_MODEL, _LAYOUT), _ALL_MODEL),
+    "grid": Command(cmd_grid, "grid search with k-fold CV", ("--manifest", "--grid"),
+                    (_FOLDS, _MODEL, _LAYOUT), _ALL_MODEL),
+    "count": Command(cmd_count, "participant counting via step detection", ("--trace",), (
+        Param("min_jump", float, None, 0, help="global jump threshold; unset: 4 sigma per metric"),
+        Param("window", int, DEFAULT_WINDOW_S, 1, arg="window_w", help="mean window seconds"),
+        Param("gap", int, DEFAULT_MIN_GAP_S, 0, arg="min_gap", help="merge gap seconds"))),
+    "correlate": Command(cmd_correlate, "pixel-vs-metric regression and correlation",
+                         ("--pixels", "--trace"), (
+        Param("metric", str, "non_base_level_textures", help="metric id"),)),
+    "defend inject": Command(cmd_defend_inject, "write a noise-perturbed copy of a trace",
+                             ("--trace",), (
+        Param("strategy", str, "gaussian", choices=tuple(STRATEGIES), help="perturbation kind"),
+        *(p for _, params in STRATEGIES.values() for p in params))),
+    "defend detect": Command(cmd_defend_detect,
+                             "flag repetitive profiler access in a timestamp log", ("--log",), (
+        Param("min_events", int, DEFAULT_MIN_EVENTS, 1, help="fewest reads flagged"),
+        Param("cv_threshold", float, DEFAULT_CV_THRESHOLD, 0, help="gap variation flagged below"),
+        Param("expected_period", float, DEFAULT_EXPECTED_PERIOD_S, 0, arg="expected_period_s",
+              help="profiler tick seconds"),
+        Param("period_tolerance", float, DEFAULT_PERIOD_TOLERANCE_S, 0, help="tick tolerance"))),
+    "defend curve": Command(cmd_defend_curve, "accuracy degradation curve under injected noise",
+                            ("--manifest",), (
+        Param("levels", str, "0,2,5,10,25", help="comma-separated increasing sigma multipliers"),
+        _MODEL), ("trees",)),
+}
+
+
+def _help(p: Param) -> str:
+    """p.help, then its default and bounds where they are set."""
+    shown = [f"{name} {value}" for name, value in (
+        ("default", p.default), ("min", p.minimum), (">", p.above), ("max", p.maximum))
+        if value is not None]
+    return f"{p.help} ({', '.join(shown)})" if shown else p.help
+
+
+def _model_flags(keys) -> list[Param]:
+    """A flag per FAMILIES parameter key in `keys` (one --lr and one --epochs
+    for svm and mlp), whose help gives each family's keyword, default and bounds."""
+    texts = {}
     for kind, family in FAMILIES.items():
-        for p in family.params:
-            flag = flags.setdefault(p.key, {"type": p.kind, "help": ""})
-            flag["help"] += f"{kind}: {p.arg} (default {p.default}, min {p.minimum}) "
-    for key, flag in flags.items():
-        if key != "seed" and (keys is None or key in keys):  # _add_common adds --seed
-            sub.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
+        for p in (p for p in family.params if p.key in keys):
+            label = ", ".join(filter(None, (f"{kind}: {p.keyword}", p.help)))
+            texts.setdefault((p.key, p.kind), []).append(_help(p._replace(help=label)))
+    return [Param(key, kind, None, help="; ".join(t)) for (key, kind), t in texts.items()]
 
 
 @functools.cache  # parsing leaves the parser as it was, so main() reuses one
 def build_parser() -> _Parser:
     parser = _Parser(prog="counterscope",
                      description="GPU-counter side-channel pipeline at desk scale")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("simulate", help="render a scene script into trace + pixel CSVs")
-    p.add_argument("scene", help="scene script JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = commands.add_parser("gen-corpus", help="generate a labeled corpus from a corpus spec")
-    p.add_argument("corpus_spec", help="corpus spec JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_gen_corpus)
-
-    p = commands.add_parser("prune", help="pairwise-correlation metric pruning")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--threshold", type=float, help="|r| redundancy threshold (default 0.90)")
-    _add_common(p)
-    p.set_defaults(func=cmd_prune)
-
-    p = commands.add_parser("screen", help="per-metric accuracy screening")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--threshold-acc", dest="threshold_acc", type=float,
-                   help="accuracy floor (default 0.60)")
-    _add_model_flags(p, keys={"trees"})
-    _add_common(p)
-    p.set_defaults(func=cmd_screen)
-
-    p = commands.add_parser("train", help="train a classifier on a manifest corpus")
-    p.add_argument("--manifest", required=True)
-    _add_model_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = commands.add_parser("eval", help="evaluate a saved model on a manifest corpus")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--model-file", dest="model_file", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = commands.add_parser("cv", help="stratified k-fold cross-validation")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--k", type=int, help="folds (default 5)")
-    _add_model_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_cv)
-
-    p = commands.add_parser("lopo", help="leave-one-group-out cross-validation")
-    p.add_argument("--manifest", required=True)
-    _add_model_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_lopo)
-
-    p = commands.add_parser("grid", help="grid search with k-fold CV")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--grid", required=True, help="JSON array of parameter objects")
-    p.add_argument("--k", type=int, help="folds (default 5)")
-    _add_model_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_grid)
-
-    p = commands.add_parser("count", help="participant counting via step detection")
-    p.add_argument("--trace", required=True, help="wide CSV trace")
-    p.add_argument("--min-jump", dest="min_jump", type=float,
-                   help="global jump threshold (default: per-metric 4 sigma)")
-    p.add_argument("--window", type=int, help="mean window seconds (default 3)")
-    p.add_argument("--gap", type=int, help="merge gap seconds (default 3)")
-    _add_common(p)
-    p.set_defaults(func=cmd_count)
-
-    p = commands.add_parser("correlate", help="pixel-vs-metric regression and correlation")
-    p.add_argument("--pixels", required=True, help="pixel coverage CSV")
-    p.add_argument("--trace", required=True, help="wide CSV trace")
-    p.add_argument("--metric", help="metric id (default non_base_level_textures)")
-    _add_common(p)
-    p.set_defaults(func=cmd_correlate)
-
-    p = commands.add_parser("defend", help="countermeasure experiments")
-    defend = p.add_subparsers(dest="defend_command", required=True)
-
-    d = defend.add_parser("inject", help="write a noise-perturbed copy of a trace")
-    d.add_argument("--trace", required=True)
-    d.add_argument("--strategy", choices=list(_CHOICES["strategy"]),
-                   help="perturbation kind (default gaussian)")
-    d.add_argument("--sigma", type=float, help="gaussian: sigma multiplier")
-    d.add_argument("--rate", type=float, help="dummy: objects per second")
-    d.add_argument("--size", type=float, help="dummy: object size")
-    d.add_argument("--depth", type=float, help="dummy: object depth")
-    _add_common(d)
-    d.set_defaults(func=cmd_defend_inject)
-
-    d = defend.add_parser("detect", help="flag repetitive profiler access in a timestamp log")
-    d.add_argument("--log", required=True, help="one timestamp (seconds) per line")
-    d.add_argument("--min-events", dest="min_events", type=int)
-    d.add_argument("--cv-threshold", dest="cv_threshold", type=float)
-    d.add_argument("--expected-period", dest="expected_period", type=float)
-    d.add_argument("--period-tolerance", dest="period_tolerance", type=float)
-    _add_common(d)
-    d.set_defaults(func=cmd_defend_detect)
-
-    d = defend.add_parser("curve", help="accuracy degradation curve under injected noise")
-    d.add_argument("--manifest", required=True)
-    d.add_argument("--levels", help="comma-separated sigma multipliers (default 0,2,5,10,25)")
-    _add_model_flags(d, keys={"model", "trees"})
-    _add_common(d)
-    d.set_defaults(func=cmd_defend_curve)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, command in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(  # "defend"
+                group, help="countermeasure experiments").add_subparsers(
+                dest=f"{group}_command", required=True)
+        sub = groups[group].add_parser(leaf, help=command.help)
+        for path in command.paths:
+            dest = path.lstrip("-").replace("-", "_")
+            flag = {"dest": dest, "required": True} if path.startswith("--") else {}
+            sub.add_argument(path, help=_PATHS[dest], **flag)
+        sub.add_argument("--out", required=True, help="output directory")
+        sub.add_argument("--config", help="JSON file of option values, by key")
+        for p in (*command.params, *_model_flags(command.model_flags), *_COMMON):
+            sub.add_argument("--" + p.key.replace("_", "-"), dest=p.key,
+                             type=None if p.kind is str else p.kind,
+                             choices=None if p.choices is None else list(p.choices),
+                             help=_help(p))
+        sub.set_defaults(subcommand=name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(args)
-        return args.func(cfg)
+        cfg.command.handler(cfg, cfg.out)
+        cfg.write_effective()
+        return EXIT_OK
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

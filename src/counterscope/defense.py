@@ -4,6 +4,7 @@ Noise injection models the defender's dummy work at the level the attacker
 sees (the counter traces): a Gaussian strategy widens every metric's noise
 floor by a multiple of its simulator sigma, while a dummy-render strategy
 superimposes the load response of Poisson-arriving throwaway objects.
+STRATEGIES declares both by name, with the parameters the CLI reads.
 
 Access detection gates on regularity: a log is flagged when it has enough
 events, the inter-arrival coefficient of variation is small, and the median
@@ -26,6 +27,7 @@ from .features import (  # build_stat_features, fit_normalizer: unused, for perf
     fit_normalizer,
 )
 from .models.evaluation import evaluate, stratified_split
+from .schema import Param
 from .seeding import derive_seed
 from .simulator import COVERAGE_KAPPA, MetricResponse, ResponseModel
 from .traces import LabeledCorpus, TraceSet
@@ -139,6 +141,19 @@ class DummyRender:
 
 
 NoiseStrategy = GaussianNoise | DummyRender
+
+
+# name: (class, the Params of its constructor, keyed by the CLI's flags)
+STRATEGIES = {
+    "gaussian": (GaussianNoise, (
+        Param("sigma", float, 1.0, 0, help="gaussian: multiple of each metric's noise sigma"),)),
+    "dummy": (DummyRender, (
+        Param("rate", float, 1.0, 0, arg="rate_per_s", help="dummy: objects per second"),
+        Param("size", float, DummyRender.size_s, arg="size_s", above=0,
+              help="dummy: object size"),
+        Param("depth", float, DummyRender.depth_z, arg="depth_z", above=0,
+              help="dummy: object depth"))),
+}
 
 
 def inject_noise(trace: TraceSet, strategy: NoiseStrategy, catalog: MetricCatalog,

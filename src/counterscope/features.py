@@ -68,7 +68,7 @@ class NormalizationStats:
         SchemaError names a malformed entry, or one of `metrics` it lacks."""
         stats = {}
         for m in [*schema.read(obj, dict, "field 'normalizer'"), *metrics]:
-            mu, sigma = schema.get(obj, m, float, at="normalizer.", shape=(2,)).tolist()
+            mu, sigma = schema.Param(m, float).get(obj, at="normalizer.", shape=(2,)).tolist()
             stats[m] = (mu, schema.read(sigma, float, f"field 'normalizer.{m}'", minimum=0))
         return cls(stats)
 

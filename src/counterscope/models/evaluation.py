@@ -26,6 +26,8 @@ from ..errors import (
     UnknownLabelError,
 )
 
+DEFAULT_FOLDS = 5
+
 
 def _ratio(num: float, den: float) -> float:
     return float(num / den) if den else 0.0
@@ -200,7 +202,7 @@ def _pooled_cv(corpus, fit, folds) -> EvaluationReport:
     return EvaluationReport.from_confusion(axis, pooled, folds=fold_reports)
 
 
-def kfold_cv(corpus, fit, k: int = 5, seed: int = 0) -> EvaluationReport:
+def kfold_cv(corpus, fit, k: int = DEFAULT_FOLDS, seed: int = 0) -> EvaluationReport:
     """Stratified k-fold CV; pooled confusion plus per-fold sub-reports."""
     if k < 2:
         raise DegenerateInputError(f"k must be >= 2, got {k}")
@@ -217,7 +219,7 @@ def lopo_cv(corpus, fit) -> EvaluationReport:
                       [[i for i, gg in enumerate(groups) if gg == g] for g in distinct])
 
 
-def grid_search(corpus, fit_family, grid, k: int = 5, seed: int = 0):
+def grid_search(corpus, fit_family, grid, k: int = DEFAULT_FOLDS, seed: int = 0):
     """Exhaustive CV over a parameter grid -> (best params, its CV report).
 
     fit_family(params) returns a kfold_cv fit; best = highest mean fold

@@ -95,15 +95,15 @@ class Tree:
             value.append([0.0] * n_classes)
             schema.read(node, dict, f"field {path!r}")
             if "dist" in node:
-                value[i] = schema.get(node, "dist", float, at=f"{path}.", shape=(n_classes,))
+                value[i] = schema.Param("dist", float).get(node, f"{path}.", (n_classes,))
                 return i
             missing = [k for k in _SPLIT_KEYS if k not in node]
             if missing:
                 raise SchemaError(f"field {path!r} has no 'dist' and lacks "
                                   f"{', '.join(repr(k) for k in missing)}")
-            feature[i] = schema.get(node, "feature", int, choices=range(n_features),
-                                    at=f"{path}.")
-            threshold[i] = schema.get(node, "threshold", float, at=f"{path}.")
+            feature[i] = schema.Param("feature", int, choices=range(n_features)).get(
+                node, f"{path}.")
+            threshold[i] = schema.Param("threshold", float).get(node, f"{path}.")
             left[i] = add(node["left"], f"{path}.left")
             right[i] = add(node["right"], f"{path}.right")
             return i
@@ -116,17 +116,18 @@ class Tree:
 
 def read_classes(obj: dict) -> list[str]:
     """A model body's 'classes': a list of >= 2 string labels."""
-    classes = schema.get(obj, "classes", list)
+    classes = schema.Param("classes", list).get(obj)
     for i, label in enumerate(classes):
         schema.read(label, str, f"field 'classes[{i}]'")
     schema.read(len(classes), int, "the length of field 'classes'", minimum=2)
     return classes
 
 
-_BODY = {"n_trees": schema.Field(int, minimum=1), "max_depth": schema.Field(int, nullable=True),
-         "min_samples_split": schema.Field(int), "feature_subsample": schema.Field(int),
-         "seed": schema.Field(int), "n_features": schema.Field(int, minimum=1),
-         "trees": schema.Field(list)}
+_BODY = (schema.Param("n_trees", int, minimum=1),
+         schema.Param("max_depth", int, nullable=True),
+         schema.Param("min_samples_split", int), schema.Param("feature_subsample", int),
+         schema.Param("seed", int), schema.Param("n_features", int, minimum=1),
+         schema.Param("trees", list))
 
 
 @dataclass

@@ -39,8 +39,8 @@ class LinearSvmModel:
     @classmethod
     def from_dict(cls, obj: dict) -> "LinearSvmModel":
         classes = read_classes(obj)
-        return cls(classes, schema.get(obj, "weights", float, shape=(len(classes), None)),
-                   schema.get(obj, "biases", float, shape=(len(classes),)))
+        return cls(classes, schema.Param("weights", float).get(obj, shape=(len(classes), None)),
+                   schema.Param("biases", float).get(obj, shape=(len(classes),)))
 
 
 def train_linear_svm(features, labels, lr: float = 0.01, epochs: int = 50,

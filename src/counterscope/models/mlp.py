@@ -86,11 +86,11 @@ class MlpModel:
     @classmethod
     def from_dict(cls, obj: dict) -> "MlpModel":
         classes = read_classes(obj)
-        h = schema.get(obj, "hidden_size", int, minimum=1)
-        params = MlpParams(schema.get(obj, "w1", float, shape=(None, h)),
-                           schema.get(obj, "b1", float, shape=(h,)),
-                           schema.get(obj, "w2", float, shape=(h, len(classes))),
-                           schema.get(obj, "b2", float, shape=(len(classes),)))
+        h = schema.Param("hidden_size", int, minimum=1).get(obj)
+        params = MlpParams(schema.Param("w1", float).get(obj, shape=(None, h)),
+                           schema.Param("b1", float).get(obj, shape=(h,)),
+                           schema.Param("w2", float).get(obj, shape=(h, len(classes))),
+                           schema.Param("b2", float).get(obj, shape=(len(classes),)))
         return cls(classes, params, h)
 
 

@@ -40,11 +40,11 @@ class KnnModel:
     @classmethod
     def from_dict(cls, obj: dict) -> "KnnModel":
         classes = read_classes(obj)
-        train_x = schema.get(obj, "train_x", float, shape=(None, None))
-        train_y = schema.get(obj, "train_y", int, shape=(len(train_x),))
+        train_x = schema.Param("train_x", float).get(obj, shape=(None, None))
+        train_y = schema.Param("train_y", int).get(obj, shape=(len(train_x),))
         for i, y in enumerate(train_y.tolist()):
             schema.read(y, int, f"field 'train_y[{i}]'", choices=range(len(classes)))
-        k = schema.get(obj, "k", int, choices=range(1, len(train_x) + 1))
+        k = schema.Param("k", int, choices=range(1, len(train_x) + 1)).get(obj)
         return cls(classes, k, train_x, train_y)
 
 

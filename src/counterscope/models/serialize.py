@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 from .. import schema
 from ..errors import SchemaError
 from ..features import LAYOUTS, Fingerprinter, NormalizationStats
+from ..schema import Param
 from .forest import DEFAULT_N_TREES, RandomForestModel, train_rf
 from .linear import LinearSvmModel, train_linear_svm
 from .mlp import MlpModel, train_mlp
@@ -24,50 +25,38 @@ FORMAT_NAME = "counterscope-model"
 FORMAT_VERSION = 1
 
 
-class Param(NamedTuple):
-    """A trainer parameter: its keyword, its flag and config key, its type
-    (int or float), its default and its least allowed value."""
-
-    arg: str
-    key: str
-    kind: type
-    default: object
-    minimum: float | None = None
-
-
 class Family(NamedTuple):
     model: type
     trainer: Callable
     params: tuple[Param, ...]
 
 
-_SEED = Param("seed", "seed", int, 0, 0)  # the CLI passes its run seed here
+_SEED = Param("seed", int, 0, 0)  # the CLI passes its run seed here
 
 FAMILIES = {
     "rf": Family(RandomForestModel, train_rf, (
-        Param("n_trees", "trees", int, DEFAULT_N_TREES, 1),
-        Param("max_depth", "max_depth", int, None, 0), _SEED)),
+        Param("trees", int, DEFAULT_N_TREES, 1, arg="n_trees"),
+        Param("max_depth", int, None, 0, help="unlimited if unset"), _SEED)),
     "svm": Family(LinearSvmModel, train_linear_svm, (
-        Param("lr", "lr", float, 0.01, 0), Param("epochs", "epochs", int, 50, 0),
-        Param("reg_lambda", "reg_lambda", float, 1e-3, 0), _SEED)),
-    "knn": Family(KnnModel, train_knn, (Param("k", "neighbors", int, 5, 1),)),
+        Param("lr", float, 0.01, 0), Param("epochs", int, 50, 0),
+        Param("reg_lambda", float, 1e-3, 0), _SEED)),
+    "knn": Family(KnnModel, train_knn, (Param("neighbors", int, 5, 1, arg="k"),)),
     "mlp": Family(MlpModel, train_mlp, (
-        Param("hidden_size", "hidden", int, 32, 1),
-        Param("learning_rate", "lr", float, 0.05, 0),
-        Param("epochs", "epochs", int, 100, 0), Param("batch_size", "batch", int, 16, 1),
-        _SEED)),
+        Param("hidden", int, 32, 1, arg="hidden_size"),
+        Param("lr", float, 0.05, 0, arg="learning_rate"),
+        Param("epochs", int, 100, 0), Param("batch", int, 16, 1, arg="batch_size"), _SEED)),
 }
 
 
-_ENVELOPE = {
-    "format": schema.Field(str, choices=(FORMAT_NAME,)),
-    "version": schema.Field(int, choices=(FORMAT_VERSION,)),
-    "kind": schema.Field(str, choices=FAMILIES),
-    "model": schema.Field(dict),
-    "metrics": schema.Field(list),
-    "layout": schema.Field(str, choices=LAYOUTS),
-    "normalizer": schema.Field(dict),
-}
+_ENVELOPE = (
+    Param("format", str, choices=(FORMAT_NAME,)),
+    Param("version", int, choices=(FORMAT_VERSION,)),
+    Param("kind", str, choices=FAMILIES),
+    Param("model", dict),
+    Param("metrics", list),
+    Param("layout", str, choices=LAYOUTS),
+    Param("normalizer", dict),
+)
 
 
 def save_model(fp: Fingerprinter, path) -> None:

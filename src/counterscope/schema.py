@@ -1,5 +1,7 @@
-"""One reader for every input file: JSON syntax, field kinds, minimums,
-choices and array shapes, each checked where the value enters.
+"""One reader for every input file and option: JSON syntax, field kinds,
+bounds, choices and array shapes, each checked where the value enters.
+Param declares a value once: a file's field, or a CLI option with its flag,
+config key, default and help.
 
 A malformed value raises SchemaError naming the file and the field, e.g.
 "spec.json: classes[1]: script: field 'duration_s' must be an integer, got
@@ -11,6 +13,7 @@ fields together stay with the classes that own them.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -25,14 +28,46 @@ _NAMES = {int: "an integer", float: "a finite number", str: "a string",
           list: "a list", dict: "an object"}
 
 
-class Field(NamedTuple):
-    """A declared key: the arguments of get() after the key."""
+class Param(NamedTuple):
+    """A declared value: its key (the field of a file, the key of a config
+    file and, with '-' for '_', a flag), its kind, its default (REQUIRED where
+    it must be given; None makes it nullable), its bounds (`minimum` and
+    `maximum` inclusive, `above` exclusive), its allowed values, a flag's
+    help, and the keyword a library call takes it as where that is not the
+    key."""
 
+    key: str
     kind: type | tuple
     default: object = REQUIRED
     minimum: float | None = None
     choices: object = None
     nullable: bool = False
+    help: str = ""
+    arg: str | None = None
+    above: float | None = None
+    maximum: float | None = None
+
+    @property
+    def keyword(self) -> str:
+        return self.arg or self.key
+
+    def read(self, value, where: str):
+        """`value` through read() against this declaration."""
+        return read(value, self.kind, where, self.minimum, self.choices,
+                    self.nullable or self.default is None, self.above, self.maximum)
+
+    def get(self, obj: dict, at: str = "", shape: tuple | None = None):
+        """obj[key] through read(), or through array() where a `shape` is
+        given, named "field '<at><key>'". A missing key gives the default,
+        or is an error where that is REQUIRED."""
+        where = f"field '{at}{self.key}'"
+        if self.key not in obj:
+            if self.default is REQUIRED:
+                raise SchemaError(f"{where} is missing")
+            return self.default
+        if shape is not None:
+            return array(obj[self.key], where, shape, self.kind)
+        return self.read(obj[self.key], where)
 
 
 def show(value) -> str:
@@ -49,42 +84,31 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
-def read(value, kind, where: str, minimum=None, choices=None, nullable: bool = False):
+def read(value, kind, where: str, minimum=None, choices=None, nullable: bool = False,
+         above=None, maximum=None):
     """`value` if it is of `kind` (a type or a tuple of types), a number no
-    less than `minimum` and one of `choices`, or None where `nullable`;
-    anything else raises SchemaError naming `where`."""
+    less than `minimum`, greater than `above` and no greater than `maximum`,
+    and one of `choices`, or None where `nullable`; anything else raises
+    SchemaError naming `where`."""
     if value is None and nullable:
         return None
     if not _is(value, kind):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         raise SchemaError(f"{where} must be {' or '.join(_NAMES[k] for k in kinds)}"
                           f"{' or null' if nullable else ''}, got {show(value)}")
-    if minimum is not None and _is(value, float) and value < minimum:
-        raise SchemaError(f"{where} must be >= {minimum}, got {show(value)}")
+    for bound, fails, op in ((minimum, operator.lt, ">="), (above, operator.le, ">"),
+                             (maximum, operator.gt, "<=")):
+        if bound is not None and _is(value, float) and fails(value, bound):
+            raise SchemaError(f"{where} must be {op} {bound}, got {show(value)}")
     if choices is not None and value not in choices:
         raise SchemaError(f"{where} must be one of {show(tuple(choices))}, got {show(value)}")
     return value
 
 
-def get(obj: dict, key: str, kind, default=REQUIRED, minimum=None, choices=None,
-        nullable: bool = False, at: str = "", shape: tuple | None = None):
-    """obj[key] through read(), or through array() where a `shape` is given,
-    named "field '<at><key>'". A missing key gives `default`, or is an error
-    where that is REQUIRED; a key whose default is None may hold null."""
-    where = f"field '{at}{key}'"
-    if key not in obj:
-        if default is REQUIRED:
-            raise SchemaError(f"{where} is missing")
-        return default
-    if shape is not None:
-        return array(obj[key], where, shape, kind)
-    return read(obj[key], kind, where, minimum, choices, nullable or default is None)
-
-
-def fields(obj, declared: dict[str, Field], where: str, at: str = "") -> dict:
-    """{key: get(obj, key, *field)} for each declared key of the object `where` names."""
+def fields(obj, declared: tuple[Param, ...], where: str, at: str = "") -> dict:
+    """{key: Param.get(obj, at)} of each declared key of the object `where` names."""
     read(obj, dict, where)
-    return {key: get(obj, key, *field, at=at) for key, field in declared.items()}
+    return {p.key: p.get(obj, at) for p in declared}
 
 
 def array(value, where: str, shape: tuple, kind: type = float) -> np.ndarray:

@@ -140,8 +140,8 @@ def builtin_profile() -> dict[str, MetricResponse]:
     return dict(DEFAULT_PROFILE)
 
 
-_RESPONSE = {f.name: schema.Field(float, minimum=0 if f.name == "sigma" else None)
-             for f in dataclasses.fields(MetricResponse)}
+_RESPONSE = tuple(schema.Param(f.name, float, minimum=0 if f.name == "sigma" else None)
+                  for f in dataclasses.fields(MetricResponse))
 
 
 def load_profile(path) -> dict[str, MetricResponse]:
@@ -437,18 +437,19 @@ def _event_to_dict(ev: SceneEvent) -> dict:
     raise InvalidScriptError(f"unknown event type {type(ev).__name__}")
 
 
-def _event_fields(cls) -> dict[str, schema.Field]:
+def _event_fields(cls) -> tuple[schema.Param, ...]:
     """The JSON fields of an event class, declared from its dataclass fields."""
-    return {f.name: schema.Field({"float": float, "str": str}.get(f.type, dict),
-                                 f.default_factory() if f.default_factory is not MISSING
-                                 else schema.REQUIRED if f.default is MISSING else f.default)
-            for f in dataclasses.fields(cls)}
+    return tuple(schema.Param(f.name, {"float": float, "str": str}.get(f.type, dict),
+                              f.default_factory() if f.default_factory is not MISSING
+                              else schema.REQUIRED if f.default is MISSING else f.default)
+                 for f in dataclasses.fields(cls))
 
 
 def _event_from_dict(obj: dict) -> SceneEvent:
-    kind = schema.fields(obj, {"kind": schema.Field(str, choices=_EVENT_KINDS)}, "an event")["kind"]
+    kind = schema.fields(obj, (schema.Param("kind", str, choices=_EVENT_KINDS),),
+                         "an event")["kind"]
     declared = _event_fields(_EVENT_KINDS[kind])
-    unknown = sorted(set(obj) - set(declared) - {"kind"})
+    unknown = sorted(set(obj) - {p.key for p in declared} - {"kind"})
     if unknown:
         raise SchemaError(f"field {unknown[0]!r} is not a {kind} field")
     values = schema.fields(obj, declared, "an event")
@@ -468,17 +469,17 @@ def script_to_dict(script: SceneScript) -> dict:
     }
 
 
-_SCRIPT = {
-    "scene_type": schema.Field(str, SCENE_VR, choices=(SCENE_VR, SCENE_AR)),
-    "duration_s": schema.Field(int, 30, 1),
-    "seed": schema.Field(int, 0),
-    "fov_width_w": schema.Field(float, DEFAULT_FOV_HALF_WIDTH),
-    "events": schema.Field(list, ()),
-    "noise_sigma": schema.Field((float, dict), None, 0),
-}
-_SPEC = {"classes": schema.Field(list), "repetitions": schema.Field(int, 1, 1),
-         "seed": schema.Field(int, 0)}
-_CLASS = {"label": schema.Field(str), "script": schema.Field(dict)}
+_SCRIPT = (
+    schema.Param("scene_type", str, SCENE_VR, choices=(SCENE_VR, SCENE_AR)),
+    schema.Param("duration_s", int, 30, 1),
+    schema.Param("seed", int, 0),
+    schema.Param("fov_width_w", float, DEFAULT_FOV_HALF_WIDTH),
+    schema.Param("events", list, ()),
+    schema.Param("noise_sigma", (float, dict), None, 0),
+)
+_SPEC = (schema.Param("classes", list), schema.Param("repetitions", int, 1, 1),
+         schema.Param("seed", int, 0))
+_CLASS = (schema.Param("label", str), schema.Param("script", dict))
 
 
 def script_from_dict(obj: dict) -> SceneScript:

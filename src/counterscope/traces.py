@@ -34,6 +34,7 @@ from .errors import (
     ParseError,
     RaggedRowsError,
     SchemaError,
+    UnknownMetricError,
 )
 
 
@@ -70,7 +71,10 @@ class TraceSet:
         return self.matrix.shape[0]
 
     def values(self, metric: str) -> np.ndarray:
-        return self.matrix[:, self.metrics.index(metric)]
+        try:
+            return self.matrix[:, self.metrics.index(metric)]
+        except ValueError:
+            raise UnknownMetricError(f"metric {metric!r} is not in the trace") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TraceSet):
@@ -215,8 +219,8 @@ def write_manifest(corpus: LabeledCorpus, directory, manifest_name: str = "manif
     return manifest_path
 
 
-_MANIFEST_LINE = {"trace": schema.Field(str), "label": schema.Field(str),
-                  "group": schema.Field(str, "")}
+_MANIFEST_LINE = (schema.Param("trace", str), schema.Param("label", str),
+                  schema.Param("group", str, ""))
 
 
 def read_manifest(path) -> LabeledCorpus:

@@ -800,3 +800,38 @@ def test_model_body_missing_key_names_file_and_field(tmp_path, capsys):
                     "--out", str(tmp_path / "ev")]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "'weights'" in err, err
+
+
+def _simulated(scene_file, tmp_path):
+    sim = str(tmp_path / "sim")
+    assert run_cli(["simulate", scene_file, "--out", sim]) == 0
+    return os.path.join(sim, "pixels.csv"), os.path.join(sim, "trace.csv")
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "default"])
+def test_correlate_unknown_metric_names_the_key_and_the_trace(scene_file, tmp_path, capsys,
+                                                             source):
+    """A --metric absent from the trace was a ValueError from list.index, exit 3."""
+    pixels, trace = _simulated(scene_file, tmp_path)
+    metric, where, options = "'nope'", "--metric", ["--metric", "nope"]
+    if source == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"metric": "nope"}))
+        where, options = f"{config}: field 'metric'", ["--config", str(config)]
+    elif source == "default":  # the pixels file has no non_base_level_textures column
+        trace, metric, where, options = pixels, "'non_base_level_textures'", "default --metric", []
+    capsys.readouterr()
+    assert run_cli(["correlate", "--pixels", pixels, "--trace", trace, *options,
+                    "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert where in err and trace in err and metric in err, err
+
+
+def test_correlate_refuses_a_pixels_file_of_many_columns(scene_file, tmp_path, capsys):
+    """A many-column --pixels file was read as its first column, exit 0."""
+    _, trace = _simulated(scene_file, tmp_path)
+    capsys.readouterr()
+    assert run_cli(["correlate", "--pixels", trace, "--trace", trace,
+                    "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert trace in err and "one value column" in err, err

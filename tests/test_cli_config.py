@@ -2,11 +2,15 @@
 
 Every flag, config-file and grid value goes through one typed read; a
 wrongly typed or out-of-range value exits 2 naming its source. The golden
-file pins effective_config.json (minus `out`) of every model-taking command
-for every family, as given by flags, by a config file and by defaults; it was
-recorded before the family table replaced the CLI's per-family branches.
+file pins effective_config.json (minus `out`) of every subcommand that has
+options, as given by flags, by a config file and by defaults: the
+model-taking commands for every family, recorded before the family table
+replaced the CLI's per-family branches, and the others, recorded before the
+options moved into one declaration table. OPTIONS pins the options each
+subcommand accepts.
 """
 
+import argparse
 import json
 import os
 
@@ -104,6 +108,82 @@ def test_effective_config_golden(manifest, tmp_path, name, command, kind, source
     assert effective_config(manifest, str(tmp_path), command, kind, source) == golden[name]
 
 
+# The commands outside the model chain: (argv before the options, the options
+# by key, the keys kept as flags when the case runs on defaults). Catalog and
+# profile paths are relative to the inputs directory, so the golden file holds
+# no temporary path. These entries were recorded before the CLI's options
+# moved into one declaration table.
+CATALOG_ENTRIES = [
+    {"id": "gpu_bus_busy", "display_name": "GPU % Bus Busy",
+     "category": "gpu_utilization", "unit": "percent"},
+    {"id": "texture_l2_miss", "display_name": "% Texture L2 Miss",
+     "category": "stalls", "unit": "percent"},
+    {"id": "non_base_level_textures", "display_name": "% Non-Base Level Textures",
+     "category": "texture_filtering", "unit": "percent"}]
+PROFILE = {"gpu_bus_busy": {"b_ar": 34.0, "b_vr": 30.0, "g": 55.0, "delta": 8.0,
+                            "sigma": 1.0}}
+FILES = {"catalog": "catalog.json", "profile": "profile.json"}
+SWEEP = {"scene_type": "vr", "duration_s": 20, "events": [
+    {"kind": "object_sweep", "size_s": 6.0, "speed_v": 1.0, "depth_z": 2.0,
+     "x_start": -10.0, "x_end": 10.0, "t_start": 2.0}]}
+OPTION_CASES = {
+    "simulate": (["simulate", "{scene}"], FILES, ()),
+    "gen-corpus": (["gen-corpus", "{spec}"], {"seed": 9, **FILES}, ()),
+    "prune": (["prune", "--manifest", "{manifest}"], {"threshold": 0.8}, ()),
+    "count": (["count", "--trace", "{trace}"], {"window": 2, "gap": 1, **FILES}, ()),
+    "count-min-jump": (["count", "--trace", "{trace}"],
+                       {"min_jump": 5.0, "window": 2, "gap": 1, **FILES}, ("min_jump",)),
+    "correlate": (["correlate", "--pixels", "{pixels}", "--trace", "{sim_trace}"],
+                  {"metric": "gpu_bus_busy"}, ()),
+    "defend-inject-gaussian": (["defend", "inject", "--trace", "{trace}"],
+                               {"strategy": "gaussian", "sigma": 2.5, "seed": 4, **FILES}, ()),
+    "defend-inject-dummy": (["defend", "inject", "--trace", "{trace}"],
+                            {"strategy": "dummy", "rate": 0.5, "size": 3.0, "depth": 1.5,
+                             "seed": 4, **FILES}, ("strategy",)),
+    "defend-detect": (["defend", "detect", "--log", "{log}"],
+                      {"min_events": 10, "cv_threshold": 0.2, "expected_period": 2.0,
+                       "period_tolerance": 0.5}, ()),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(manifest, tmp_path_factory):
+    """Every input file an OPTION_CASES command reads, by its {name}."""
+    root = tmp_path_factory.mktemp("inputs")
+    _write(root / "catalog.json", CATALOG_ENTRIES)
+    _write(root / "profile.json", PROFILE)
+    scene = _write(root / "scene.json", SWEEP)
+    assert main(["simulate", scene, "--out", str(root / "sim")]) == 0
+    (root / "access.log").write_text("".join(f"{2 * t}.0\n" for t in range(15)))
+    traces = os.path.join(os.path.dirname(manifest), "traces")
+    return str(root), {
+        "scene": scene, "spec": _write(root / "spec.json", SPEC), "manifest": manifest,
+        "trace": os.path.join(traces, sorted(os.listdir(traces))[0]),
+        "pixels": str(root / "sim" / "pixels.csv"), "sim_trace": str(root / "sim" / "trace.csv"),
+        "log": str(root / "access.log")}
+
+
+@pytest.mark.parametrize("name", [f"{case}/{source}" for case in OPTION_CASES
+                                  for source in ("flags", "config", "defaults")])
+def test_option_effective_config_golden(inputs, tmp_path, monkeypatch, name):
+    case, source = name.split("/")
+    root, files = inputs
+    head, values, kept = OPTION_CASES[case]
+    argv = [arg.format(**files) for arg in head] + ["--out", str(tmp_path / "out")]
+    flags = values if source == "flags" else {k: values[k] for k in kept}
+    for key, value in flags.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    if source == "config":
+        argv += ["--config", _write(tmp_path / "config.json", values)]
+    monkeypatch.chdir(root)
+    assert main(argv) == 0, argv
+    with open(tmp_path / "out" / "effective_config.json") as fh:
+        payload = json.load(fh)
+    del payload["out"]
+    with open(GOLDEN_PATH) as fh:
+        assert payload == json.load(fh)[name]
+
+
 def _write(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -161,6 +241,27 @@ PROBES = {
     "config-bad-layout": (["cv", "--k", "2"], {"layout": "stat9"}, None, "'layout'"),
     "config-bad-model": (["train"], {"model": "xyz"}, None, "'model'"),
     "config-bad-strategy": (["defend", "inject"], {"strategy": "xyz"}, None, "'strategy'"),
+    # a number outside the bounds only the library checked, with a message
+    # naming neither the flag nor the config key
+    "flag-zero-threshold": (["prune", "--threshold", "0"], None, None, "--threshold"),
+    "flag-threshold-above-1": (["prune", "--threshold", "1.5"], None, None, "--threshold"),
+    "config-zero-threshold": (["prune"], {"threshold": 0}, None, "'threshold'"),
+    "flag-zero-threshold-acc": (["screen", "--threshold-acc", "0"], None, None,
+                                "--threshold-acc"),
+    "config-threshold-acc-above-1": (["screen"], {"threshold_acc": 2}, None,
+                                     "'threshold_acc'"),
+    "flag-one-fold-cv": (["cv", "--k", "1"], None, None, "--k"),
+    "flag-one-fold-grid": (["grid", "--k", "1"], None, None, "--k"),
+    "config-one-fold-cv": (["cv"], {"k": 1}, None, "'k'"),
+    "flag-negative-sigma": (["defend", "inject", "--sigma", "-1"], None, None, "--sigma"),
+    "flag-negative-rate": (["defend", "inject", "--strategy", "dummy", "--rate", "-1"], None,
+                           None, "--rate"),
+    "flag-zero-size": (["defend", "inject", "--strategy", "dummy", "--size", "0"], None, None,
+                       "--size"),
+    "flag-negative-depth": (["defend", "inject", "--strategy", "dummy", "--depth", "-2"], None,
+                            None, "--depth"),
+    "config-zero-depth": (["defend", "inject"], {"strategy": "dummy", "depth": 0}, None,
+                          "'depth'"),
 }
 
 
@@ -177,6 +278,8 @@ def test_wrong_value_exits_2_naming_source_and_key(manifest, tmp_path, capsys, n
         argv += ["--log", str(log)]
     else:
         argv += ["--manifest", manifest]
+    if argv[0] == "grid" and grid is None:
+        argv += ["--grid", _write(tmp_path / "grid.json", [{"n_trees": 2}])]
     if config is not None:
         path = _write(tmp_path / "config.json", config)
         argv += ["--config", path]
@@ -220,6 +323,62 @@ def test_model_flags_come_from_the_families(command, flags):
         assert (action.type or str) is flags[opt]
     if "--model" in flags:
         assert actions["--model"].choices == list(FAMILIES)
+
+
+# Every subcommand's options as the parser takes them: the type a value is
+# parsed as, "!" where the option is required, and the choices of the options
+# that have them. Recorded before the options moved into one declaration table.
+COMMON_OPTIONS = {"--out": "str!", "--config": "str", "--catalog": "str", "--profile": "str",
+                  "--seed": "int"}
+ALL_MODEL_OPTIONS = {"--model": "str", "--layout": "str", "--trees": "int", "--max-depth": "int",
+                     "--lr": "float", "--epochs": "int", "--reg-lambda": "float",
+                     "--neighbors": "int", "--hidden": "int", "--batch": "int"}
+OPTIONS = {
+    "simulate": {"scene": "str!"},
+    "gen-corpus": {"corpus_spec": "str!"},
+    "prune": {"--manifest": "str!", "--threshold": "float"},
+    "screen": {"--manifest": "str!", "--threshold-acc": "float", "--trees": "int"},
+    "train": {"--manifest": "str!", **ALL_MODEL_OPTIONS},
+    "eval": {"--manifest": "str!", "--model-file": "str!"},
+    "cv": {"--manifest": "str!", "--k": "int", **ALL_MODEL_OPTIONS},
+    "lopo": {"--manifest": "str!", **ALL_MODEL_OPTIONS},
+    "grid": {"--manifest": "str!", "--grid": "str!", "--k": "int", **ALL_MODEL_OPTIONS},
+    "count": {"--trace": "str!", "--min-jump": "float", "--window": "int", "--gap": "int"},
+    "correlate": {"--pixels": "str!", "--trace": "str!", "--metric": "str"},
+    "defend inject": {"--trace": "str!", "--strategy": "str", "--sigma": "float",
+                      "--rate": "float", "--size": "float", "--depth": "float"},
+    "defend detect": {"--log": "str!", "--min-events": "int", "--cv-threshold": "float",
+                      "--expected-period": "float", "--period-tolerance": "float"},
+    "defend curve": {"--manifest": "str!", "--levels": "str", "--model": "str", "--trees": "int"},
+}
+CHOICES = {"--model": ["rf", "svm", "knn", "mlp"], "--layout": ["stat4", "stat2", "sequence"],
+           "--strategy": ["gaussian", "dummy"]}
+
+
+def _commands(parser, prefix=()):
+    """(name, parser) of every subcommand, "defend inject" for a nested one."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(prefix), parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _commands(sub, (*prefix, name))
+
+
+def test_every_subcommand_takes_the_pinned_options():
+    commands = dict(_commands(build_parser()))
+    assert set(commands) == set(OPTIONS)
+    for name, parser in commands.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert all(len(a.option_strings) <= 1 for a in actions), name
+        taken = {(a.option_strings or [a.dest])[0]:
+                 (a.type or str).__name__ + "!" * a.required for a in actions}
+        assert taken == {**OPTIONS[name], **COMMON_OPTIONS}, name
+        for a in actions:
+            opt = (a.option_strings or [a.dest])[0]
+            assert (list(a.choices) if a.choices else None) == CHOICES.get(opt), (name, opt)
+            if a.option_strings:
+                assert a.dest == opt[2:].replace("-", "_"), (name, opt)
 
 
 def test_every_family_round_trips_with_its_kind(tmp_path):

@@ -1,10 +1,13 @@
 """Fuzz the CLI's input files from the declarations the readers use.
 
 Each case starts from a valid input file (spec, script, profile, catalog,
-config, grid, manifest, or a model file of each family) and breaks it once:
-a value of the wrong kind, a number below its declared minimum, a required
-key removed, a string outside its choices, or an object replaced by a list.
-The CLI must exit 2 naming the file and the field, and never 3.
+a config file of each subcommand that has options, grid, manifest, or a
+model file of each family) and breaks it once: a value of the wrong kind, a
+number outside its declared bounds, a required key removed, a string outside
+its choices, or an object replaced by a list. The CLI must exit 2 naming the
+file and the field, and never 3. The config files' keys come from the CLI's
+command table, with the parameters of the model family or noise strategy
+each one selects.
 """
 
 import copy
@@ -18,7 +21,9 @@ from hypothesis import strategies as st
 
 from counterscope import catalog, cli, simulator, traces
 from counterscope.models import FAMILIES, forest, serialize
-from counterscope.schema import REQUIRED, Field
+from counterscope.defense import STRATEGIES
+from counterscope.schema import REQUIRED, Param
+from counterscope.traces import TraceSet
 
 SPEC = {"seed": 3, "repetitions": 2, "classes": [
     {"label": label, "script": {"scene_type": "vr", "duration_s": 12, "events": [
@@ -39,14 +44,43 @@ CATALOG = [{"id": "gpu_bus_busy", "display_name": "GPU % Bus Busy",
             "category": "gpu_utilization", "unit": "percent"},
            {"id": "texture_l2_miss", "display_name": "% Texture L2 Miss",
             "category": "stalls", "unit": "percent", "direction": "increases_with_load"}]
-CONFIG = {"model": "rf", "layout": "stat2", "trees": 2, "max_depth": 3}
-INJECT_CONFIG = {"strategy": "gaussian", "sigma": 1.0}
 GRID = [{"n_trees": 2, "max_depth": 3, "seed": 1}]
+# config files: (subcommand, the model family or noise strategy the file
+# selects, values that replace the declared defaults to keep the run small)
+CONFIGS = {
+    "config": ("cv", "rf", {"layout": "stat2", "trees": 2, "max_depth": 3, "k": 2}),
+    "config-train": ("train", "mlp", {"epochs": 1}),
+    "config-lopo": ("lopo", "svm", {"epochs": 1}),
+    "config-grid": ("grid", "knn", {"k": 2, "neighbors": 1}),
+    "config-screen": ("screen", "rf", {"trees": 2}),
+    "config-curve": ("defend curve", "rf", {"trees": 2, "levels": "0,2"}),
+    "config-prune": ("prune", None, {}),
+    "config-count": ("count", None, {}),
+    "config-correlate": ("correlate", None, {"metric": "gpu_bus_busy"}),
+    "config-detect": ("defend detect", None, {}),
+    "inject-config": ("defend inject", "gaussian", {}),
+    "inject-config-dummy": ("defend inject", "dummy", {}),
+}
 
 
-def _params(kind, key):
-    """A family's parameters as declared fields, by flag key or trainer keyword."""
-    return {getattr(p, key): Field(p.kind, p.default, p.minimum) for p in FAMILIES[kind].params}
+def _config_params(command, selected):
+    """The options a config file of `command` holds: the command's own, with
+    only the selected strategy's, and the selected family's parameters but the
+    run seed, which is any integer (reduced modulo 2**64)."""
+    own = cli.COMMANDS[command].params
+    if command == "defend inject":
+        others = {p for _, params in STRATEGIES.values() for p in params}
+        own = [p for p in own if p not in others] + list(STRATEGIES[selected][1])
+    family = FAMILIES[selected].params if selected in FAMILIES else ()
+    return tuple([*own, *(p for p in family if p.key != "seed")])
+
+
+def _config(name):
+    command, selected, values = CONFIGS[name]
+    doc = {p.key: p.default for p in _config_params(command, selected) if p.default is not None}
+    for key in {"model", "strategy"} & set(doc):  # the key that selects `selected`
+        doc[key] = selected
+    return {**doc, **values}
 
 
 def _event_targets(prefix, events):
@@ -55,10 +89,13 @@ def _event_targets(prefix, events):
 
 
 def _body_fields(kind):
-    """A model body's keys, each required, with the kind its JSON value has."""
+    """A model body's keys, each required, with the kind its JSON value has;
+    the rf body's keys as its reader declares them."""
     model = FAMILIES[kind].trainer(np.eye(4), ["a", "a", "b", "b"],
                                    **({"k": 1} if kind == "knn" else {}))
-    return {key: Field(type(value)) for key, value in model.to_dict().items()}
+    declared = {key: Param(key, type(value)) for key, value in model.to_dict().items()}
+    declared.update({p.key: p for p in (forest._BODY if kind == "rf" else ())})
+    return tuple(declared.values())
 
 
 # file kind: [(JSON path of an object, its declared fields, the name a
@@ -70,18 +107,12 @@ TARGETS = {
     "script": [((), simulator._SCRIPT, ""), *_event_targets((), SCRIPT["events"])],
     "profile": [(("gpu_bus_busy",), simulator._RESPONSE, "'gpu_bus_busy'")],
     "catalog": [((1,), catalog._ENTRY, "entry 1")],
-    # the run seed is any integer (reduced modulo 2**64), so only the
-    # trainer's own parameters are taken from the family
-    "config": [((), {**{k: f for k, f in _params("rf", "key").items() if k != "seed"},
-                     "model": Field(str, "rf", choices=FAMILIES),
-                     "layout": Field(str, "stat4", choices=cli._CHOICES["layout"])}, "")],
-    "inject-config": [((), {"strategy": Field(str, "gaussian",
-                                              choices=cli._CHOICES["strategy"]),
-                            "sigma": Field(float, 1.0)}, "")],
-    "grid": [((0,), _params("rf", "arg"), "entry 0")],
+    **{name: [((), _config_params(*CONFIGS[name][:2]), "")] for name in CONFIGS},
+    "grid": [((0,), tuple(p._replace(key=p.keyword) for p in FAMILIES["rf"].params),
+              "entry 0")],
     "manifest": [((0,), traces._MANIFEST_LINE, ":1:")],
-    **{f"model-{kind}": [((), serialize._ENVELOPE, ""), (("model",), {
-        **_body_fields(kind), **(forest._BODY if kind == "rf" else {})}, "'model'")]
+    **{f"model-{kind}": [((), serialize._ENVELOPE, ""), (("model",), _body_fields(kind),
+                                                         "'model'")]
        for kind in FAMILIES},
 }
 
@@ -94,7 +125,8 @@ def _mutations():
     for name, targets in TARGETS.items():
         for path, declared, container in targets:
             yield name, path, None, "non-object", [], container
-            for key, f in declared.items():
+            for f in declared:
+                key = f.key
                 kinds = f.kind if isinstance(f.kind, tuple) else (f.kind,)
                 for value in [v for k in kinds for v in WRONG[k]]:
                     if not any(isinstance(value, k) and not isinstance(value, bool)
@@ -102,6 +134,10 @@ def _mutations():
                         yield name, path, key, "wrong-kind", value, f"'{key}'"
                 if f.minimum is not None:
                     yield name, path, key, "below-minimum", f.minimum - 1, f"'{key}'"
+                if f.above is not None:
+                    yield name, path, key, "below-minimum", f.above, f"'{key}'"
+                if f.maximum is not None:
+                    yield name, path, key, "above-maximum", f.maximum + 1, f"'{key}'"
                 if f.default is REQUIRED:
                     yield name, path, key, "missing", None, f"'{key}'"
                 if f.choices is not None:
@@ -125,26 +161,36 @@ def valid(tmp_path_factory):
     with open(manifest) as fh:
         lines = [json.loads(line) for line in fh]
     docs = {"spec": SPEC, "script": SCRIPT, "profile": PROFILE, "catalog": CATALOG,
-            "config": CONFIG, "inject-config": INJECT_CONFIG, "grid": GRID, "manifest": lines}
+            "grid": GRID, "manifest": lines, **{name: _config(name) for name in CONFIGS}}
     for kind in FAMILIES:
         out = root / f"model-{kind}"
         assert cli.main(["train", "--manifest", manifest, "--model", kind, "--trees", "2",
                          "--neighbors", "1", "--epochs", "1", "--out", str(out)]) == 0
         docs[f"model-{kind}"] = json.loads((out / "model.json").read_text())
     trace = os.path.join(root, "corp", lines[0]["trace"])
-    return root, docs, {"spec": str(spec), "manifest": manifest, "trace": trace}
+    pixels = str(root / "pixels.csv")
+    traces.write_wide_csv(TraceSet(["pixels"], traces.read_wide_csv(trace).matrix[:, [1]]),
+                          pixels)
+    (root / "access.log").write_text("".join(f"{t}.0\n" for t in range(30)))
+    (root / "grid.json").write_text(json.dumps([{"k": 1}]))
+    files = {"spec": str(spec), "manifest": manifest, "trace": trace, "pixels": pixels,
+             "log": str(root / "access.log"), "grid": str(root / "grid.json")}
+    return root, docs, files
 
 
 def _argv(name, bad, files):
     if name.startswith("model-"):
         return ["eval", "--manifest", files["manifest"], "--model-file", bad]
+    if name in CONFIGS:
+        command = CONFIGS[name][0]
+        paths = cli.COMMANDS[command].paths
+        return [*command.split(), *(arg for path in paths
+                                    for arg in (path, files[path.lstrip("-")])), "--config", bad]
     return {
         "spec": ["gen-corpus", bad],
         "script": ["simulate", bad],
         "profile": ["gen-corpus", files["spec"], "--profile", bad],
         "catalog": ["gen-corpus", files["spec"], "--catalog", bad],
-        "config": ["cv", "--manifest", files["manifest"], "--k", "2", "--config", bad],
-        "inject-config": ["defend", "inject", "--trace", files["trace"], "--config", bad],
         "grid": ["grid", "--manifest", files["manifest"], "--k", "2", "--grid", bad],
         "manifest": ["prune", "--manifest", bad],
     }[name]
@@ -188,4 +234,19 @@ def test_one_mutation_exits_2_naming_file_and_field(valid, capsys, mutation):
 def test_every_file_kind_and_mutation_is_drawn_from():
     assert {m[0] for m in MUTATIONS} == set(TARGETS)
     assert {m[3] for m in MUTATIONS} == {"non-object", "wrong-kind", "below-minimum", "missing",
-                                         "bad-choice", "null"}
+                                         "bad-choice", "null", "above-maximum"}
+
+
+def test_every_subcommand_with_options_has_a_config_target():
+    assert {command for command, _, _ in CONFIGS.values()} == {
+        name for name, command in cli.COMMANDS.items() if command.params}
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_every_valid_config_runs(valid, name):
+    """An unbroken config file runs, so a mutation's exit 2 is the mutation's."""
+    root, docs, files = valid
+    path = os.path.join(root, f"valid-{name}.json")
+    with open(path, "w") as fh:
+        json.dump(docs[name], fh)
+    assert cli.main(_argv(name, path, files) + ["--out", os.path.join(root, "out")]) == 0

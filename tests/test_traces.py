@@ -13,6 +13,7 @@ from counterscope.errors import (
     MissingTraceFileError,
     ParseError,
     RaggedRowsError,
+    UnknownMetricError,
 )
 from counterscope.traces import (
     CorpusItem,
@@ -48,6 +49,10 @@ class TestTraceSet:
         b.meta["scenario"] = "x"
         assert a == b
         assert a != make_trace([[1, 3]])
+
+    def test_values_of_an_absent_metric_name_it(self):
+        with pytest.raises(UnknownMetricError, match="'m_c'"):
+            make_trace([[1, 2]]).values("m_c")
 
 
 class TestWideCsv:
