@@ -14,18 +14,16 @@ import numpy as np
 from counterscope.catalog import builtin_catalog
 from counterscope.plots import line_plot
 from counterscope.simulator import avatar_staircase
-from counterscope.stepcount import count_participants, default_min_jumps
+from counterscope.stepcount import count_participants
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
 catalog = builtin_catalog()
-jumps = default_min_jumps()
-
 print("participants -> estimated (default noise):")
 for n in range(0, 10):
     out = avatar_staircase(n, hold_s=5, catalog=catalog, seed=40 + n)
-    count, per_metric = count_participants(out.traces, catalog, jumps)
+    count, _, _ = count_participants(out.traces, catalog)
     print(f"  {n} -> {count}")
 
 out = avatar_staircase(4, hold_s=5, catalog=catalog, seed=44)

@@ -105,10 +105,6 @@ class MetricCatalog:
                 return i
         raise KeyError(metric_id)
 
-    def order_key(self, metric_id: str) -> int:
-        """Catalog position, used as the canonical sort/tie-break key."""
-        return self.index(metric_id)
-
 
 # Row-major table of the built-in universe: (id, display name, unit[, direction]).
 # Category rows appear in their canonical order; within a row, the order below

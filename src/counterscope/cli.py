@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import plots, schema
+from . import plots, schema, stepcount
 from .catalog import builtin_catalog, load_catalog
 from .defense import (
     DEFAULT_CV_THRESHOLD,
@@ -90,14 +90,11 @@ from .simulator import (
     simulate,
 )
 from .stats import linreg, pearson
-from .stepcount import (
+from .stepcount import (  # default_min_jumps, detect_steps: unused here, for perfbench/spans.py
     DEFAULT_MIN_GAP_S,
     DEFAULT_WINDOW_S,
     default_min_jumps,
     detect_steps,
-    known_metrics,
-    min_jump_for,
-    vote_participants,
 )
 from .traces import TraceSet, read_manifest, read_wide_csv, write_manifest, write_wide_csv
 
@@ -152,17 +149,26 @@ class RunConfig:
         self.out = args.out
         os.makedirs(self.out, exist_ok=True)
         self.resolved = {"out": self.out}
+        # checked here, as every command takes them, but recorded where they are read
+        for key in ("catalog", "profile"):
+            path = self.value(self.declared[key])
+            if path and not os.path.isfile(path):
+                raise DataError(f"{self.where(key)}: no such file {path!r}")
 
-    def read(self, p: Param):
+    def value(self, p: Param):
         """The flag, else the config file's value, else p.default, checked
-        against `p` and recorded."""
+        against `p`."""
         value = getattr(self.args, p.key, None)
         if value is None:
             value = self.file_values.get(p.key, p.default)
         if value is not p.default:  # a default needs no check
             value = p.read(value, self.where(p.key))
             value = float(value) if p.kind is float and value is not None else value
-        self.resolved[p.key] = value
+        return value
+
+    def read(self, p: Param):
+        """value(p), recorded."""
+        self.resolved[p.key] = value = self.value(p)
         return value
 
     def get(self, key: str):
@@ -285,7 +291,8 @@ def cmd_prune(cfg: RunConfig, out: str) -> None:
     corpus = read_manifest(cfg.args.manifest)
     catalog = cfg.catalog()
     options = cfg.params("threshold")
-    report = correlation_prune(corpus, catalog.ids(), **options)
+    with schema.located(f"{cfg.args.manifest} (catalog {cfg.get('catalog') or 'built-in'})"):
+        report = correlation_prune(corpus, catalog.ids(), **options)
     report.to_json(os.path.join(out, "prune_report.json"))
     print(f"retained {len(report.retained)} of "
           f"{len(report.retained) + len(report.dropped)} metrics "
@@ -375,15 +382,10 @@ def cmd_count(cfg: RunConfig, out: str) -> None:
     catalog = cfg.catalog()
     detection = cfg.params("window", "gap")
     min_jump = cfg.get("min_jump")
-    jumps = (min_jump if min_jump is not None
-             else default_min_jumps(cfg.profile(), metrics=trace.metrics))
-    # one detection per metric feeds both the vote and steps.csv
-    events = {m: detect_steps(trace.values(m), min_jump_for(jumps, m), **detection)
-              for m in known_metrics(trace, catalog)}
-    count, per_metric = vote_participants(events, catalog)
-    from .stepcount import steps_to_csv
-
-    steps_to_csv(events, os.path.join(out, "steps.csv"))
+    profile = cfg.profile() if min_jump is None else None  # it feeds the default thresholds
+    count, per_metric, events = stepcount.count_participants(
+        trace, catalog, min_jump, profile=profile, **detection)
+    stepcount.steps_to_csv(events, os.path.join(out, "steps.csv"))
     _write_json(os.path.join(out, "count.json"),
                 {"count": count, "per_metric": per_metric})
     print(f"estimated participants: {count}")
@@ -521,7 +523,8 @@ COMMANDS = {
     "grid": Command(cmd_grid, "grid search with k-fold CV", ("--manifest", "--grid"),
                     (_FOLDS, _MODEL, _LAYOUT), _ALL_MODEL),
     "count": Command(cmd_count, "participant counting via step detection", ("--trace",), (
-        Param("min_jump", float, None, 0, help="global jump threshold; unset: 4 sigma per metric"),
+        Param("min_jump", float, None, 0,
+              help="global jump threshold; unset: 4 sigma per metric of --profile"),
         Param("window", int, DEFAULT_WINDOW_S, 1, arg="window_w", help="mean window seconds"),
         Param("gap", int, DEFAULT_MIN_GAP_S, 0, arg="min_gap", help="merge gap seconds"))),
     "correlate": Command(cmd_correlate, "pixel-vs-metric regression and correlation",

@@ -76,9 +76,9 @@ def redundancy_corpus(seed: int = 20_240_817, n_seconds_per_item: int = 120,
     """
     catalog = catalog if catalog is not None else builtin_catalog()
     kept = [p[0] for p in REDUNDANT_PAIRS] + list(UNCORRELATED_KEPT)
-    kept = sorted(set(kept), key=catalog.order_key)
+    kept = sorted(set(kept), key=catalog.index)
     partners = [(k, d, r) for k, d, r in REDUNDANT_PAIRS]
-    metric_ids = sorted(set(kept) | {d for _, d, _ in partners}, key=catalog.order_key)
+    metric_ids = sorted(set(kept) | {d for _, d, _ in partners}, key=catalog.index)
 
     n = n_seconds_per_item * n_items
     n_latent = len(kept) + len(partners)
@@ -108,7 +108,7 @@ def redundancy_corpus(seed: int = 20_240_817, n_seconds_per_item: int = 120,
 
     # Drops surface in pair-scan order: each kept metric sheds its partners
     # in catalog order as the scan reaches it.
-    order = {m: catalog.order_key(m) for m in metric_ids}
+    order = {m: catalog.index(m) for m in metric_ids}
     expected_drops = sorted(partners, key=lambda p: (order[p[0]], order[p[1]]))
     return RedundancyCorpus(LabeledCorpus(items), tuple(kept), tuple(expected_drops))
 

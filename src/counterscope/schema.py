@@ -105,10 +105,10 @@ def read(value, kind, where: str, minimum=None, choices=None, nullable: bool = F
     return value
 
 
-def fields(obj, declared: tuple[Param, ...], where: str, at: str = "") -> dict:
-    """{key: Param.get(obj, at)} of each declared key of the object `where` names."""
+def fields(obj, declared: tuple[Param, ...], where: str) -> dict:
+    """{key: Param.get(obj)} of each declared key of the object `where` names."""
     read(obj, dict, where)
-    return {p.key: p.get(obj, at) for p in declared}
+    return {p.key: p.get(obj) for p in declared}
 
 
 def array(value, where: str, shape: tuple, kind: type = float) -> np.ndarray:

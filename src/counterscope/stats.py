@@ -1,4 +1,4 @@
-"""Core statistical kernels: moments, Pearson r, simple OLS.
+"""Core statistical kernels: Pearson r and simple OLS.
 
 All moments are population moments (1/n), so sigma of [1,2,3] is sqrt(2/3).
 Degenerate-case conventions: Pearson of a constant series is 0 and R^2 with
@@ -101,11 +101,3 @@ def linreg(x, y) -> RegressionFit:
     resid = v - beta * u
     r2 = 1.0 - float(np.mean(resid * resid) / np.mean(v * v))
     return RegressionFit(slope, intercept, r2)
-
-
-def summarize(x):
-    """(mean, population sigma, max, min) of a nonempty series."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise TooShortSeriesError("empty series")
-    return float(x.mean()), float(x.std()), float(x.max()), float(x.min())

@@ -9,11 +9,17 @@ so adjacent joins remain separable.
 Participant counting votes across metrics: each metric contributes the
 number of steps whose sign matches its load direction (decreasing metrics
 count downward steps), and the overall count is the majority, ties going to
-the smaller count.
+the smaller count. Each metric's threshold is the global min_jump where one
+is given, else 4 sigma of its response profile (ResponseModel).
+
+count_participants is the one counting path: the `count` subcommand calls it
+once and writes the step events it returns to steps.csv. `count --profile`
+feeds the default thresholds, so it is read only when `--min-jump` is unset.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,60 +80,37 @@ def detect_steps(series, min_jump: float, window_w: int = DEFAULT_WINDOW_S,
 
 
 def default_min_jumps(profile: dict[str, MetricResponse] | None = None,
-                      factor: float = MIN_JUMP_SIGMA_FACTOR,
                       metrics: list[str] | None = None) -> dict[str, float]:
-    """Per-metric thresholds at `factor` times the simulator noise sigma,
-    for `metrics` (default: the profile's); metrics the profile lacks use
-    the simulator's fallback sigma."""
+    """Per-metric thresholds at MIN_JUMP_SIGMA_FACTOR times the simulator
+    noise sigma, for `metrics` (default: the profile's); metrics the profile
+    lacks use the simulator's fallback sigma."""
     if metrics is None:
         metrics = list(profile if profile is not None else DEFAULT_PROFILE)
     model = ResponseModel(metrics, profile=profile)
-    return dict(zip(model.metrics, (factor * model.sigma).tolist()))
-
-
-def min_jump_for(min_jump, metric: str) -> float:
-    """The threshold for `metric` from a per-metric dict or a global float."""
-    if isinstance(min_jump, dict):
-        if metric not in min_jump:
-            raise DataError(f"no min_jump for metric {metric!r}")
-        return float(min_jump[metric])
-    return float(min_jump)
-
-
-def known_metrics(trace: TraceSet, catalog: MetricCatalog) -> list[str]:
-    """The trace's metrics that the catalog knows, in trace order."""
-    known = [m for m in trace.metrics if m in catalog]
-    if not known:
-        raise NoKnownMetricsError("trace shares no metrics with the catalog")
-    return known
-
-
-def vote_participants(events: dict[str, list[StepEvent]], catalog: MetricCatalog):
-    """(majority count, per-metric counts) from each metric's step events."""
-    per_metric = {m: sum(1 for ev in evs if ev.sign == catalog.get(m).sign)
-                  for m, evs in events.items()}
-    votes: dict[int, int] = {}
-    for count in per_metric.values():
-        votes[count] = votes.get(count, 0) + 1
-    best = min(votes, key=lambda cnt: (-votes[cnt], cnt))  # majority; ties -> smaller
-    return best, per_metric
+    return dict(zip(model.metrics, (MIN_JUMP_SIGMA_FACTOR * model.sigma).tolist()))
 
 
 def count_participants(trace: TraceSet, catalog: MetricCatalog,
-                       min_jump=None, window_w: int = DEFAULT_WINDOW_S,
-                       min_gap: int = DEFAULT_MIN_GAP_S):
-    """(majority count, per-metric counts) over the trace's catalog metrics.
+                       min_jump: float | None = None, window_w: int = DEFAULT_WINDOW_S,
+                       min_gap: int = DEFAULT_MIN_GAP_S,
+                       profile: dict[str, MetricResponse] | None = None):
+    """(majority count, per-metric counts, per-metric step events) over the
+    trace's catalog metrics, in trace order.
 
-    min_jump: per-metric dict, a global float, or None for the default
-    4-sigma thresholds of the built-in response profile (fallback sigma for
-    metrics it lacks).
+    Each metric's steps are detected once, at `min_jump` if it is given, else
+    at the default_min_jumps of `profile` (default: the built-in one).
     """
-    known = known_metrics(trace, catalog)
-    if min_jump is None:
-        min_jump = default_min_jumps(metrics=known)
-    events = {m: detect_steps(trace.values(m), min_jump_for(min_jump, m), window_w, min_gap)
-              for m in known}
-    return vote_participants(events, catalog)
+    known = [m for m in trace.metrics if m in catalog]
+    if not known:
+        raise NoKnownMetricsError("trace shares no metrics with the catalog")
+    jumps = (dict.fromkeys(known, float(min_jump)) if min_jump is not None
+             else default_min_jumps(profile, known))
+    events = {m: detect_steps(trace.values(m), jumps[m], window_w, min_gap) for m in known}
+    per_metric = {m: sum(1 for ev in evs if ev.sign == catalog.get(m).sign)
+                  for m, evs in events.items()}
+    votes = Counter(per_metric.values())
+    count = min(votes, key=lambda cnt: (-votes[cnt], cnt))  # majority; ties -> smaller
+    return count, per_metric, events
 
 
 def find_anchor(trace: TraceSet, metric: str, min_jump: float,

@@ -141,7 +141,7 @@ def write_wide_csv(trace: TraceSet, path) -> None:
         fh.write("t_s," + ",".join(trace.metrics) + "\n" + "\n".join(lines) + "\n")
 
 
-def read_wide_csv(path, meta: dict[str, str] | None = None) -> TraceSet:
+def read_wide_csv(path) -> TraceSet:
     """Parse a wide-CSV trace; columns keep header order, t0 is the first row.
 
     Raises ParseError(row, col) on non-numeric/non-finite cells or a broken
@@ -172,7 +172,7 @@ def read_wide_csv(path, meta: dict[str, str] | None = None) -> TraceSet:
         if t != t0 + k:
             raise ParseError(k + 2, 1, f"time column not 1 Hz consecutive at t={t}", path)
     with schema.located(path):
-        return TraceSet(fields[1:], matrix, t0, dict(meta or {}))
+        return TraceSet(fields[1:], matrix, t0)
 
 
 def _first_bad_row(path, lines: list[str], width: int) -> DataError:
@@ -199,20 +199,19 @@ def _first_bad_row(path, lines: list[str], width: int) -> DataError:
     raise AssertionError(f"{path}: numpy and float() disagree on a cell")
 
 
-def write_manifest(corpus: LabeledCorpus, directory, manifest_name: str = "manifest.jsonl",
-                   trace_subdir: str = "traces") -> str:
-    """Write every trace as wide CSV plus a JSON-lines manifest; returns manifest path.
+def write_manifest(corpus: LabeledCorpus, directory) -> str:
+    """Write every trace as wide CSV under traces/ plus a JSON-lines
+    manifest.jsonl; returns the manifest path.
 
     Trace filenames are derived from (index, label) so output is deterministic.
     """
     directory = os.fspath(directory)
-    tdir = os.path.join(directory, trace_subdir)
-    os.makedirs(tdir, exist_ok=True)
-    manifest_path = os.path.join(directory, manifest_name)
+    os.makedirs(os.path.join(directory, "traces"), exist_ok=True)
+    manifest_path = os.path.join(directory, "manifest.jsonl")
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         for i, item in enumerate(corpus):
             safe_label = "".join(c if c.isalnum() else "_" for c in item.label)
-            rel = f"{trace_subdir}/{i:04d}_{safe_label}.csv"
+            rel = f"traces/{i:04d}_{safe_label}.csv"
             write_wide_csv(item.trace, os.path.join(directory, rel))
             fh.write(json.dumps(
                 {"trace": rel, "label": item.label, "group": item.group}) + "\n")

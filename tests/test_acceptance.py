@@ -28,9 +28,10 @@ from counterscope.models import evaluate, kfold_cv, stratified_split, train_rf
 from counterscope.models.mlp import init_params, loss_and_grads
 from counterscope.selection import correlation_prune
 from counterscope.simulator import avatar_staircase, builtin_profile, simulate
-from counterscope.stats import linreg, pearson, summarize
-from counterscope.stepcount import count_participants, default_min_jumps
+from counterscope.stats import linreg, pearson
+from counterscope.stepcount import count_participants
 from counterscope.traces import write_manifest
+from stat_reference import summarize
 from test_models_mlp import flatten, unflatten
 
 CATALOG = builtin_catalog()
@@ -150,10 +151,9 @@ def test_criterion_5_synthetic_fingerprinting(app_corpus):
 
 def test_criterion_6_participant_counting():
     """Exact counts: 10/10 noiseless n in 0..9; >= 95% of 20 noisy seeds per n."""
-    jumps = default_min_jumps(PROFILE)
     noiseless = sum(
         count_participants(avatar_staircase(n, 5, CATALOG, noise_sigma=0.0).traces,
-                           CATALOG, jumps)[0] == n
+                           CATALOG, profile=PROFILE)[0] == n
         for n in range(10))
     noisy_ok = True
     rates = []
@@ -161,7 +161,7 @@ def test_criterion_6_participant_counting():
         exact = sum(
             count_participants(
                 avatar_staircase(n, 5, CATALOG, seed=1000 + 17 * n + s).traces,
-                CATALOG, jumps)[0] == n
+                CATALOG, profile=PROFILE)[0] == n
             for s in range(20))
         rates.append(exact)
         noisy_ok = noisy_ok and exact >= 19  # >= 95% of 20

@@ -126,9 +126,9 @@ def test_load_missing_file():
         load_catalog("/nonexistent/catalog.json")
 
 
-def test_order_key_matches_position(catalog):
+def test_index_matches_position(catalog):
     for i, e in enumerate(catalog):
-        assert catalog.order_key(e.id) == i
+        assert catalog.index(e.id) == i
 
 
 @settings(max_examples=30)

