@@ -150,6 +150,7 @@ class RunConfig:
         os.makedirs(self.out, exist_ok=True)
         self.resolved = {"out": self.out}
         # checked here, as every command takes them, but recorded where they are read
+        self.value(self.declared["seed"])
         for key in ("catalog", "profile"):
             path = self.value(self.declared[key])
             if path and not os.path.isfile(path):

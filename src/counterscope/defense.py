@@ -20,7 +20,7 @@ import numpy as np
 
 from . import schema
 from .catalog import MetricCatalog
-from .errors import DataError, InvalidStrategyError
+from .errors import DataError, SchemaError
 from .features import (  # build_stat_features, fit_normalizer: unused, for perfbench/spans.py
     Fingerprinter,
     build_stat_features,
@@ -117,7 +117,7 @@ class GaussianNoise:
 
     def __post_init__(self):
         if self.sigma < 0:
-            raise InvalidStrategyError("gaussian sigma must be >= 0")
+            raise SchemaError("gaussian sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ class DummyRender:
 
     def __post_init__(self):
         if self.rate_per_s < 0:
-            raise InvalidStrategyError("dummy-render rate must be >= 0")
+            raise SchemaError("dummy-render rate must be >= 0")
         if self.size_s <= 0 or self.depth_z <= 0:
-            raise InvalidStrategyError("dummy-render size/depth must be > 0")
+            raise SchemaError("dummy-render size/depth must be > 0")
 
 
 NoiseStrategy = GaussianNoise | DummyRender
@@ -165,7 +165,7 @@ def inject_noise(trace: TraceSet, strategy: NoiseStrategy, catalog: MetricCatalo
     strategies return a bit-identical copy.
     """
     if not isinstance(strategy, (GaussianNoise, DummyRender)):
-        raise InvalidStrategyError(f"unknown strategy {type(strategy).__name__}")
+        raise SchemaError(f"unknown strategy {type(strategy).__name__}")
     model = ResponseModel(trace.metrics, catalog, profile)
     rng_seed = strategy.seed if seed is None else seed
     matrix = trace.matrix.copy()

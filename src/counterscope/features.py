@@ -6,8 +6,8 @@ whatever gets classified, so test traces never leak into the baseline
 estimate; a Fingerprinter fitted per fold keeps that true under
 cross-validation. Stat layouts summarize each normalized metric with (mean,
 std, max, min) or (mean, std); the sequence layout keeps the whole
-normalized series, tail-padded to the longest item (pad value 0, i.e. the
-training mean in normalized space) and flattened time-major.
+normalized series, tail-padded to the longest training item (pad value 0,
+i.e. the training mean in normalized space) and flattened time-major.
 """
 
 from __future__ import annotations
@@ -127,17 +127,18 @@ def build_stat_features(corpus: LabeledCorpus, metrics: list[str],
 
 
 def build_sequences(corpus: LabeledCorpus, metrics: list[str],
-                    norm: NormalizationStats) -> FeatureMatrix:
-    """Whole normalized series per item, tail-padded with 0 to the longest and
-    flattened time-major (row t holds all metrics at second t)."""
+                    norm: NormalizationStats, length: int) -> FeatureMatrix:
+    """Whole normalized series per item, tail-padded with 0 to `length`
+    seconds and flattened time-major (row t holds all metrics at second t).
+    An item longer than `length` raises DataError naming its source."""
     _check_metrics(corpus.metrics, metrics)
-    if len(corpus) == 0:
-        return FeatureMatrix(np.empty((0, 0)), [])
-    n_max = max(item.trace.n_seconds for item in corpus)
-    k = len(metrics)
-    col_names = [f"t{t:04d}_{m}" for t in range(n_max) for m in metrics]
-    rows = np.zeros((len(corpus), n_max * k))
-    for i, block in enumerate(norm.zscore(corpus, metrics)):
+    col_names = [f"t{t:04d}_{m}" for t in range(length) for m in metrics]
+    rows = np.zeros((len(corpus), length * len(metrics)))
+    for i, (item, block) in enumerate(zip(corpus, norm.zscore(corpus, metrics))):
+        if item.trace.n_seconds > length:
+            raise DataError(f"{item.trace.meta.get('source', f'item {i}')}: "
+                            f"{item.trace.n_seconds} seconds, longer than the "
+                            f"{length} the sequences were fitted to")
         rows[i, : block.size] = block.T.reshape(-1)
     return FeatureMatrix(rows, col_names)
 
@@ -157,14 +158,21 @@ class Fingerprinter:
     @classmethod
     def fit(cls, corpus: LabeledCorpus, trainer, metrics: list[str],
             layout: str) -> "Fingerprinter":
-        """trainer(features, labels) -> a model with classes and predict(features)."""
+        """trainer(features, labels) -> a model with classes, n_features and
+        predict(features). Sequences are padded to the longest item."""
         fp = cls(metrics, layout, fit_normalizer(corpus, metrics), None)
-        fp.model = trainer(fp.features(corpus), corpus.labels())
+        longest = max(item.trace.n_seconds for item in corpus)
+        fp.model = trainer(fp._features(corpus, longest), corpus.labels())
         return fp
 
     def features(self, corpus: LabeledCorpus) -> FeatureMatrix:
+        """The model's features of `corpus`; sequences are padded to the
+        length the model was fitted on (a model file may list no metrics)."""
+        return self._features(corpus, self.model.n_features // max(1, len(self.metrics)))
+
+    def _features(self, corpus: LabeledCorpus, length: int) -> FeatureMatrix:
         if self.layout == LAYOUT_SEQUENCE:
-            return build_sequences(corpus, self.metrics, self.normalizer)
+            return build_sequences(corpus, self.metrics, self.normalizer, length)
         return build_stat_features(corpus, self.metrics, self.normalizer, self.layout)
 
     @property

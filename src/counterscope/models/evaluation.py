@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (
-    DegenerateInputError,
-    EmptyGridError,
-    LabelTooSmallError,
-    SingleGroupError,
-    UnknownLabelError,
-)
+from ..errors import DegenerateInputError, UnknownLabelError
 
 DEFAULT_FOLDS = 5
 
@@ -149,7 +143,7 @@ def _shuffled_by_label(labels, seed: int, need: int):
     for label in sorted(by_label):
         idx = np.array(by_label[label])
         if idx.size < need:
-            raise LabelTooSmallError(f"label {label!r} has {idx.size} item(s), need >= {need}")
+            raise DegenerateInputError(f"label {label!r} has {idx.size} item(s), need >= {need}")
         yield idx[rng.permutation(idx.size)]
 
 
@@ -214,7 +208,7 @@ def lopo_cv(corpus, fit) -> EvaluationReport:
     groups = corpus.groups()
     distinct = sorted(set(groups))
     if len(distinct) < 2:
-        raise SingleGroupError("need >= 2 distinct groups")
+        raise DegenerateInputError("need >= 2 distinct groups")
     return _pooled_cv(corpus, fit,
                       [[i for i, gg in enumerate(groups) if gg == g] for g in distinct])
 
@@ -227,7 +221,7 @@ def grid_search(corpus, fit_family, grid, k: int = DEFAULT_FOLDS, seed: int = 0)
     """
     grid = list(grid)
     if not grid:
-        raise EmptyGridError("parameter grid is empty")
+        raise DegenerateInputError("parameter grid is empty")
     best_params = None
     best_report = None
     best_score = -np.inf

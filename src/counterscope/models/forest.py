@@ -224,19 +224,23 @@ def encode_labels(labels):
     return classes, np.array([index[l] for l in labels], dtype=int)
 
 
-def train_rf(features, labels, n_trees: int = DEFAULT_N_TREES,
-             max_depth: int | None = None, min_samples_split: int = 2,
-             feature_subsample: int | None = None, seed: int = 0) -> RandomForestModel:
-    """Grow a seeded forest; equal seeds give equal forests."""
+def training_set(features, labels):
+    """(X, classes, y_idx): the features as a matrix of one row per label,
+    and the labels as encode_labels gives them."""
     X = _as_matrix(features)
     labels = list(labels)
     if X.shape[0] != len(labels):
         raise DegenerateInputError("features rows != labels length")
-    if X.shape[0] == 0:
-        raise DegenerateInputError("empty training set")
+    return (X, *encode_labels(labels))
+
+
+def train_rf(features, labels, n_trees: int = DEFAULT_N_TREES,
+             max_depth: int | None = None, min_samples_split: int = 2,
+             feature_subsample: int | None = None, seed: int = 0) -> RandomForestModel:
+    """Grow a seeded forest; equal seeds give equal forests."""
     if n_trees < 1:
         raise DegenerateInputError("n_trees must be >= 1")
-    classes, y_idx = encode_labels(labels)
+    X, classes, y_idx = training_set(features, labels)
     d = X.shape[1]
     m = feature_subsample if feature_subsample is not None else int(np.ceil(np.sqrt(d)))
     m = max(1, min(m, d))

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import schema
-from ..errors import DegenerateInputError
-from .forest import _as_matrix, encode_labels, read_classes
+from .forest import _as_matrix, read_classes, training_set
 
 
 @dataclass
@@ -21,8 +20,12 @@ class LinearSvmModel:
     weights: np.ndarray  # (n_classes, n_features)
     biases: np.ndarray   # (n_classes,)
 
+    @property
+    def n_features(self) -> int:
+        return self.weights.shape[1]
+
     def decision_values(self, features) -> np.ndarray:
-        X = _as_matrix(features, self.weights.shape[1])
+        X = _as_matrix(features, self.n_features)
         return X @ self.weights.T + self.biases
 
     def predict(self, features) -> list[str]:
@@ -45,11 +48,7 @@ class LinearSvmModel:
 
 def train_linear_svm(features, labels, lr: float = 0.01, epochs: int = 50,
                      reg_lambda: float = 1e-3, seed: int = 0) -> LinearSvmModel:
-    X = _as_matrix(features)
-    labels = list(labels)
-    if X.shape[0] != len(labels):
-        raise DegenerateInputError("features rows != labels length")
-    classes, y_idx = encode_labels(labels)
+    X, classes, y_idx = training_set(features, labels)
     n, d = X.shape
     c = len(classes)
     W = np.zeros((c, d))

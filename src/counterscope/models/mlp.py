@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import schema
-from ..errors import DegenerateInputError
-from .forest import _as_matrix, encode_labels, read_classes
+from .forest import _as_matrix, read_classes, training_set
 
 
 @dataclass
@@ -65,8 +64,12 @@ class MlpModel:
     params: MlpParams
     hidden_size: int
 
+    @property
+    def n_features(self) -> int:
+        return self.params.w1.shape[0]
+
     def predict_proba(self, features) -> np.ndarray:
-        X = _as_matrix(features, self.params.w1.shape[0])
+        X = _as_matrix(features, self.n_features)
         return forward(self.params, X)[1]
 
     def predict(self, features) -> list[str]:
@@ -96,11 +99,7 @@ class MlpModel:
 
 def train_mlp(features, labels, hidden_size: int = 32, learning_rate: float = 0.05,
               epochs: int = 100, batch_size: int = 16, seed: int = 0) -> MlpModel:
-    X = _as_matrix(features)
-    labels = list(labels)
-    if X.shape[0] != len(labels):
-        raise DegenerateInputError("features rows != labels length")
-    classes, y_idx = encode_labels(labels)
+    X, classes, y_idx = training_set(features, labels)
     n, d = X.shape
     params = init_params(d, hidden_size, len(classes), seed)
     rng = np.random.default_rng(seed)

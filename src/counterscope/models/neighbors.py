@@ -8,7 +8,7 @@ import numpy as np
 
 from .. import schema
 from ..errors import DegenerateInputError
-from .forest import _as_matrix, encode_labels, read_classes
+from .forest import _as_matrix, read_classes, training_set
 
 
 @dataclass
@@ -18,8 +18,12 @@ class KnnModel:
     train_x: np.ndarray
     train_y: np.ndarray  # class indices
 
+    @property
+    def n_features(self) -> int:
+        return self.train_x.shape[1]
+
     def predict(self, features) -> list[str]:
-        X = _as_matrix(features, self.train_x.shape[1])
+        X = _as_matrix(features, self.n_features)
         out = []
         for x in X:
             d2 = np.sum((self.train_x - x) ** 2, axis=1)
@@ -49,11 +53,7 @@ class KnnModel:
 
 
 def train_knn(features, labels, k: int = 5) -> KnnModel:
-    X = _as_matrix(features)
-    labels = list(labels)
-    if X.shape[0] != len(labels):
-        raise DegenerateInputError("features rows != labels length")
+    X, classes, y_idx = training_set(features, labels)
     if k < 1 or k > X.shape[0]:
         raise DegenerateInputError(f"k={k} outside [1, {X.shape[0]}]")
-    classes, y_idx = encode_labels(labels)
     return KnnModel(classes, k, X.copy(), y_idx)

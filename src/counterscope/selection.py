@@ -14,7 +14,7 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from .errors import DataError, InsufficientLabelsError, UnknownMetricError
+from .errors import DataError, DegenerateInputError, UnknownMetricError
 from .features import LAYOUT_STAT4, Fingerprinter
 from .stats import pearson
 from .traces import LabeledCorpus
@@ -100,7 +100,7 @@ def accuracy_screen(corpus: LabeledCorpus, trainer, threshold_acc: float = DEFAU
     if not 0.0 < threshold_acc <= 1.0:
         raise DataError(f"threshold_acc must be in (0, 1], got {threshold_acc}")
     if len(set(corpus.labels())) < 2:
-        raise InsufficientLabelsError("screening needs >= 2 labels")
+        raise DegenerateInputError("screening needs >= 2 labels")
     order = {m: i for i, m in enumerate(corpus.metrics)}
 
     train, test = split_corpus(corpus, SCREEN_TRAIN_FRACTION, split_seed)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import schema
 from .catalog import MetricCatalog
-from .errors import InvalidScriptError, InvalidSpecError, SchemaError
+from .errors import DataError, SchemaError
 from .seeding import derive_seed
 from .traces import CorpusItem, LabeledCorpus, TraceSet
 
@@ -221,17 +221,17 @@ class SceneScript:
 
     def validate(self) -> None:
         if self.scene_type not in (SCENE_VR, SCENE_AR):
-            raise InvalidScriptError(f"scene_type must be vr|ar, got {self.scene_type!r}")
+            raise SchemaError(f"scene_type must be vr|ar, got {self.scene_type!r}")
         if not isinstance(self.duration_s, (int, np.integer)) or self.duration_s < 1:
-            raise InvalidScriptError(f"duration_s must be a positive integer, got {self.duration_s!r}")
+            raise SchemaError(f"duration_s must be a positive integer, got {self.duration_s!r}")
         if self.fov_width_w <= 0:
-            raise InvalidScriptError("fov_width_w must be > 0")
+            raise SchemaError("fov_width_w must be > 0")
         ns = self.noise_sigma
         if isinstance(ns, dict):
             if any(v < 0 for v in ns.values()):
-                raise InvalidScriptError("noise_sigma values must be >= 0")
+                raise SchemaError("noise_sigma values must be >= 0")
         elif ns is not None and ns < 0:
-            raise InvalidScriptError("noise_sigma must be >= 0")
+            raise SchemaError("noise_sigma must be >= 0")
         for ev in self.events:
             self._validate_event(ev)
 
@@ -239,31 +239,31 @@ class SceneScript:
         d = self.duration_s
         if isinstance(ev, ObjectSweep):
             if ev.depth_z <= 0 or ev.speed_v <= 0 or ev.size_s <= 0:
-                raise InvalidScriptError(f"sweep needs positive size/speed/depth: {ev}")
+                raise SchemaError(f"sweep needs positive size/speed/depth: {ev}")
             if ev.x_end == ev.x_start:
-                raise InvalidScriptError("sweep must cover a nonzero distance")
+                raise SchemaError("sweep must cover a nonzero distance")
             if not 0 <= ev.t_start <= d:
-                raise InvalidScriptError(f"sweep t_start {ev.t_start} outside [0, {d}]")
+                raise SchemaError(f"sweep t_start {ev.t_start} outside [0, {d}]")
         elif isinstance(ev, StaticObject):
             if ev.depth_z <= 0 or ev.size_s <= 0:
-                raise InvalidScriptError(f"static object needs positive size/depth: {ev}")
+                raise SchemaError(f"static object needs positive size/depth: {ev}")
             if ev.t_end <= ev.t_start:
-                raise InvalidScriptError("static object needs t_end > t_start")
+                raise SchemaError("static object needs t_end > t_start")
             if not (0 <= ev.t_start <= d and 0 <= ev.t_end <= d):
-                raise InvalidScriptError("static object times outside script duration")
+                raise SchemaError("static object times outside script duration")
         elif isinstance(ev, AvatarJoin):
             if not 0 <= ev.t_join <= d:
-                raise InvalidScriptError(f"avatar join at {ev.t_join} outside [0, {d}]")
+                raise SchemaError(f"avatar join at {ev.t_join} outside [0, {d}]")
         elif isinstance(ev, AppSession):
             if ev.t_end <= ev.t_start:
-                raise InvalidScriptError("app session needs t_end > t_start")
+                raise SchemaError("app session needs t_end > t_start")
             if not (0 <= ev.t_start <= d and 0 <= ev.t_end <= d):
-                raise InvalidScriptError("app session times outside script duration")
+                raise SchemaError("app session times outside script duration")
             for mid, v in ev.intensity.items():
                 if not 0.0 <= v <= 1.0:
-                    raise InvalidScriptError(f"intensity[{mid!r}]={v} outside [0, 1]")
+                    raise SchemaError(f"intensity[{mid!r}]={v} outside [0, 1]")
         else:
-            raise InvalidScriptError(f"unknown event type {type(ev).__name__}")
+            raise SchemaError(f"unknown event type {type(ev).__name__}")
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def simulate(script: SceneScript, catalog: MetricCatalog,
     sessions move metrics through their own terms, not the pixel series).
     """
     if len(catalog) == 0:
-        raise InvalidScriptError("catalog must be nonempty")
+        raise DataError("catalog must be nonempty")
     script.validate()
     model = ResponseModel(catalog.ids(), catalog, profile, script)
     T = script.duration_s
@@ -368,12 +368,12 @@ class CorpusSpec:
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
         if len(self.classes) < 2:
-            raise InvalidSpecError("need >= 2 classes")
+            raise SchemaError("need >= 2 classes")
         if self.repetitions < 1:
-            raise InvalidSpecError("need >= 1 repetition")
+            raise SchemaError("need >= 1 repetition")
         labels = [c.label for c in self.classes]
         if len(set(labels)) != len(labels):
-            raise InvalidSpecError("class labels must be unique")
+            raise SchemaError("class labels must be unique")
 
 
 def generate_corpus(spec: CorpusSpec, catalog: MetricCatalog,
@@ -406,9 +406,9 @@ def avatar_staircase(n: int, hold_s: int, catalog: MetricCatalog,
     distinct levels.
     """
     if n < 0:
-        raise InvalidScriptError(f"participant count must be >= 0, got {n}")
+        raise DataError(f"participant count must be >= 0, got {n}")
     if hold_s < 1:
-        raise InvalidScriptError(f"hold_s must be >= 1, got {hold_s}")
+        raise DataError(f"hold_s must be >= 1, got {hold_s}")
     lead = 2 * hold_s
     duration = lead + (n + 2) * hold_s
     joins = tuple(AvatarJoin(float(lead + k * hold_s)) for k in range(n))
@@ -434,7 +434,7 @@ def _event_to_dict(ev: SceneEvent) -> dict:
             d = dataclasses.asdict(ev)
             d["kind"] = kind
             return d
-    raise InvalidScriptError(f"unknown event type {type(ev).__name__}")
+    raise SchemaError(f"unknown event type {type(ev).__name__}")
 
 
 def _event_fields(cls) -> tuple[schema.Param, ...]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateXError, LengthMismatchError, TooShortSeriesError
+from .errors import DegenerateInputError
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ def _pair(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatchError(f"length mismatch: {x.shape} vs {y.shape}")
+        raise DegenerateInputError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
-        raise TooShortSeriesError("need at least 2 samples")
+        raise DegenerateInputError("need at least 2 samples")
     return x, y
 
 
@@ -80,7 +80,7 @@ def pearson(x, y) -> float:
 def linreg(x, y) -> RegressionFit:
     """Ordinary least squares y = slope*x + intercept with R^2.
 
-    Raises DegenerateXError for constant x. Constant y fits exactly
+    Raises DegenerateInputError for constant x. Constant y fits exactly
     (slope 0, R^2 1 by the SS_tot = 0 convention). Moments are formed on
     max-normalized centered series, same as pearson.
     """
@@ -88,7 +88,7 @@ def linreg(x, y) -> RegressionFit:
     dx, sx = _centered(x)
     mx = np.max(np.abs(dx))
     if mx == 0.0:
-        raise DegenerateXError("x is constant")
+        raise DegenerateInputError("x is constant")
     dy, sy = _centered(y)
     my = np.max(np.abs(dy))
     if my == 0.0:

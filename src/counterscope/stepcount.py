@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import MetricCatalog
-from .errors import DataError, NoKnownMetricsError, NoStepFoundError, TooShortError
+from .errors import DataError, DegenerateInputError, UnknownMetricError
 from .simulator import DEFAULT_PROFILE, MetricResponse, ResponseModel
 from .traces import TraceSet
 
@@ -54,7 +54,7 @@ def detect_steps(series, min_jump: float, window_w: int = DEFAULT_WINDOW_S,
     if window_w < 1:
         raise DataError("window_w must be >= 1")
     if series.size < 2 * window_w:
-        raise TooShortError(f"series of {series.size} samples needs >= {2 * window_w}")
+        raise DegenerateInputError(f"series of {series.size} samples needs >= {2 * window_w}")
     cum = np.concatenate([[0.0], np.cumsum(series)])
     ts = np.arange(window_w, series.size - window_w + 1)
     post = (cum[ts + window_w] - cum[ts]) / window_w
@@ -102,7 +102,7 @@ def count_participants(trace: TraceSet, catalog: MetricCatalog,
     """
     known = [m for m in trace.metrics if m in catalog]
     if not known:
-        raise NoKnownMetricsError("trace shares no metrics with the catalog")
+        raise UnknownMetricError("trace shares no metrics with the catalog")
     jumps = (dict.fromkeys(known, float(min_jump)) if min_jump is not None
              else default_min_jumps(profile, known))
     events = {m: detect_steps(trace.values(m), jumps[m], window_w, min_gap) for m in known}
@@ -119,7 +119,7 @@ def find_anchor(trace: TraceSet, metric: str, min_jump: float,
     """Sample index of the first detected step, for window extraction."""
     events = detect_steps(trace.values(metric), min_jump, window_w, min_gap)
     if not events:
-        raise NoStepFoundError(f"no step above {min_jump} in metric {metric!r}")
+        raise DataError(f"no step above {min_jump} in metric {metric!r}")
     return events[0].t
 
 

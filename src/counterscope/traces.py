@@ -27,15 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import schema
-from .errors import (
-    DataError,
-    InconsistentMetricsError,
-    MissingTraceFileError,
-    ParseError,
-    RaggedRowsError,
-    SchemaError,
-    UnknownMetricError,
-)
+from .errors import DataError, ParseError, SchemaError, UnknownMetricError
 
 
 @dataclass
@@ -104,8 +96,7 @@ class LabeledCorpus:
             first = self.items[0].trace.metrics
             for i, it in enumerate(self.items):
                 if it.trace.metrics != first:
-                    raise InconsistentMetricsError(
-                        f"item {i} metric list differs from item 0")
+                    raise DataError(f"item {i} metric list differs from item 0")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -145,7 +136,7 @@ def read_wide_csv(path) -> TraceSet:
     """Parse a wide-CSV trace; columns keep header order, t0 is the first row.
 
     Raises ParseError(row, col) on non-numeric/non-finite cells or a broken
-    time column, RaggedRowsError on inconsistent row widths.
+    time column, SchemaError on inconsistent row widths.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
@@ -183,7 +174,7 @@ def _first_bad_row(path, lines: list[str], width: int) -> DataError:
             continue
         cells = line.split(",")
         if len(cells) != width:
-            return RaggedRowsError(
+            return SchemaError(
                 f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
         try:
             int(cells[0])
@@ -225,7 +216,9 @@ _MANIFEST_LINE = (schema.Param("trace", str), schema.Param("label", str),
 def read_manifest(path) -> LabeledCorpus:
     """Load a corpus from a JSON-lines manifest, in manifest order.
 
-    Trace paths resolve relative to the manifest's directory."""
+    Trace paths resolve relative to the manifest's directory. Each trace's
+    meta 'source' names its manifest line and trace path, as
+    '<manifest>:<line>: <trace>'."""
     path = os.fspath(path)
     base = os.path.dirname(os.path.abspath(path))
     items = []
@@ -234,7 +227,9 @@ def read_manifest(path) -> LabeledCorpus:
             line = schema.fields(obj, _MANIFEST_LINE, "a manifest line")
         tpath = os.path.join(base, line["trace"])
         if not os.path.exists(tpath):
-            raise MissingTraceFileError(tpath)
-        items.append(CorpusItem(read_wide_csv(tpath), line["label"], line["group"]))
+            raise DataError(tpath)
+        trace = read_wide_csv(tpath)
+        trace.meta["source"] = f"{path}:{lineno}: {line['trace']}"
+        items.append(CorpusItem(trace, line["label"], line["group"]))
     with schema.located(path):
         return LabeledCorpus(items)

@@ -7,12 +7,12 @@ the feature and acceptance tests compare it with bit for bit.
 
 import numpy as np
 
-from counterscope.errors import TooShortSeriesError
+from counterscope.errors import DegenerateInputError
 
 
 def summarize(x):
     """(mean, population sigma, max, min) of a nonempty series."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
-        raise TooShortSeriesError("empty series")
+        raise DegenerateInputError("empty series")
     return float(x.mean()), float(x.std()), float(x.max()), float(x.min())

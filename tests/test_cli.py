@@ -598,6 +598,23 @@ def test_count_is_count_participants_under_a_profile(tmp_path, catalog, profile)
     assert json.loads((out / "effective_config.json").read_text())["profile"] == str(profile_path)
 
 
+def _command_head(tmp_path, catalog, command):
+    """The argv of `command` ("count --min-jump 5", "train", "prune" or
+    "defend detect") on small valid inputs, without --out."""
+    from counterscope.simulator import avatar_staircase
+    from counterscope.traces import write_wide_csv
+
+    if command in ("train", "prune"):
+        return [command, "--manifest", _gen_small_corpus(tmp_path)]
+    if command == "defend detect":
+        log = tmp_path / "access.log"
+        log.write_text("".join(f"{2 * t}.0\n" for t in range(15)))
+        return ["defend", "detect", "--log", str(log)]
+    trace = tmp_path / "stairs.csv"
+    write_wide_csv(avatar_staircase(1, 5, catalog, noise_sigma=0.0).traces, trace)
+    return ["count", "--trace", str(trace), "--min-jump", "5"]
+
+
 @pytest.mark.parametrize("command", ["count --min-jump 5", "train", "defend detect"])
 @pytest.mark.parametrize("key", ["catalog", "profile"])
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -605,15 +622,7 @@ def test_a_missing_catalog_or_profile_exits_2_where_it_is_not_read(tmp_path, cap
                                                                  command, key, source):
     """A --catalog or --profile path that does not exist exited 0 from a
     command that never opens it."""
-    from counterscope.simulator import avatar_staircase
-    from counterscope.traces import write_wide_csv
-
-    trace, log = tmp_path / "stairs.csv", tmp_path / "access.log"
-    write_wide_csv(avatar_staircase(1, 5, catalog, noise_sigma=0.0).traces, trace)
-    log.write_text("".join(f"{2 * t}.0\n" for t in range(15)))
-    head = {"count --min-jump 5": ["count", "--trace", str(trace), "--min-jump", "5"],
-            "train": ["train", "--manifest", _gen_small_corpus(tmp_path)],
-            "defend detect": ["defend", "detect", "--log", str(log)]}[command]
+    head = _command_head(tmp_path, catalog, command)
     missing = str(tmp_path / "nonexistent.json")
     where, options = f"--{key}", [f"--{key}", missing]
     if source == "config":
@@ -624,6 +633,24 @@ def test_a_missing_catalog_or_profile_exits_2_where_it_is_not_read(tmp_path, cap
     assert run_cli([*head, *options, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert where in err and missing in err, err
+
+
+@pytest.mark.parametrize("command", ["prune", "count --min-jump 5", "defend detect"])
+def test_a_config_seed_is_checked_where_it_is_not_read(tmp_path, capsys, catalog, command):
+    """A config file's malformed seed exited 0 from a command that never
+    reads it; a valid one is still not recorded there."""
+    head = _command_head(tmp_path, catalog, command)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": "abc"}))
+    capsys.readouterr()
+    assert run_cli([*head, "--config", str(config), "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {config}: field 'seed' must be an integer or null, "
+                   "got 'abc'\n"), err
+    config.write_text(json.dumps({"seed": 5}))
+    out = tmp_path / "good"
+    assert run_cli([*head, "--config", str(config), "--out", str(out)]) == 0
+    assert "seed" not in json.loads((out / "effective_config.json").read_text())
 
 
 def test_prune_against_a_short_catalog_names_the_manifest_and_the_catalog(tmp_path, capsys):
@@ -751,6 +778,7 @@ def _envelope(key, value):
     ({"edit": lambda payload: payload["normalizer"].pop("gpu_bus_busy")},
      "'normalizer.gpu_bus_busy'"),
     (_envelope("metrics", "abc"), "'metrics'"),
+    (_envelope("metrics", []), "feature width 0 != model width 12"),
     (_envelope("layout", "stat9"), "'layout'"),
     ({"edit": _rename_first_metric}, "'metrics'"),
     (_envelope("metrics", ["gpu_bus_busy", "gpu_bus_busy"]), "'metrics'"),
@@ -900,3 +928,98 @@ def test_correlate_refuses_a_pixels_file_of_many_columns(scene_file, tmp_path, c
                     "--out", str(tmp_path / "c")]) == 2
     err = capsys.readouterr().err
     assert trace in err and "one value column" in err, err
+
+
+def _five_faults(tmp_path, catalog):
+    """argv and the exact stderr of five faults that each had an exception
+    type of their own: a ragged CSV row, a missing trace file, a spec with one
+    class, lopo on a one-group corpus, a trace with no catalog metric."""
+    import numpy as np
+
+    from counterscope.simulator import avatar_staircase
+    from counterscope.traces import (CorpusItem, LabeledCorpus, TraceSet, write_manifest,
+                                     write_wide_csv)
+
+    (tmp_path / "ragged.csv").write_text("t_s,gpu_bus_busy\n0,1.0\n1,2.0,3.0\n")
+    (tmp_path / "missing.jsonl").write_text('{"trace": "traces/none.csv", "label": "a"}\n')
+    spec = small_corpus_spec()
+    del spec["classes"][1]
+    (tmp_path / "one.json").write_text(json.dumps(spec))
+    trace = avatar_staircase(1, 5, catalog, noise_sigma=0.0).traces
+    one_group = write_manifest(LabeledCorpus([CorpusItem(trace, "a", "g"),
+                                              CorpusItem(trace, "b", "g")]), tmp_path / "g")
+    write_wide_csv(TraceSet(["foo"], np.ones((20, 1))), tmp_path / "foo.csv")
+    return {
+        "ragged-row": (["count", "--trace", str(tmp_path / "ragged.csv")],
+                       f"{tmp_path}/ragged.csv: row 3 has 3 cells, expected 2"),
+        "missing-trace": (["prune", "--manifest", str(tmp_path / "missing.jsonl")],
+                          f"{tmp_path}/traces/none.csv"),
+        "one-class-spec": (["gen-corpus", str(tmp_path / "one.json")],
+                           f"{tmp_path}/one.json: need >= 2 classes"),
+        "one-group-lopo": (["lopo", "--manifest", one_group], "need >= 2 distinct groups"),
+        "no-catalog-metric": (["count", "--trace", str(tmp_path / "foo.csv")],
+                              "trace shares no metrics with the catalog"),
+    }
+
+
+@pytest.mark.parametrize("fault", ["ragged-row", "missing-trace", "one-class-spec",
+                                   "one-group-lopo", "no-catalog-metric"])
+def test_faults_that_lost_their_own_type_keep_exit_2_and_their_message(tmp_path, capsys,
+                                                                      catalog, fault):
+    argv, message = _five_faults(tmp_path, catalog)[fault]
+    capsys.readouterr()
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _resized(tmp_path, name, seconds):
+    """The small corpus with item i cut, or grown by repeating its last
+    second, to seconds[i]; returns its manifest."""
+    import numpy as np
+
+    from counterscope.traces import (CorpusItem, LabeledCorpus, TraceSet, read_manifest,
+                                     write_manifest)
+
+    (tmp_path / name).mkdir()
+    items = []
+    for item, n in zip(read_manifest(_gen_small_corpus(tmp_path / name)), seconds):
+        m = item.trace.matrix
+        m = np.vstack([m, np.repeat(m[-1:], n - len(m), axis=0)]) if n > len(m) else m[:n]
+        items.append(CorpusItem(TraceSet(item.trace.metrics, m), item.label, item.group))
+    return write_manifest(LabeledCorpus(items), tmp_path / name / "resized")
+
+
+def test_a_sequence_model_pads_a_shorter_test_item(tmp_path):
+    """Test items were padded to the longest test item, not to the training
+    width: eval of a model trained on 20 s + 24 s items and lopo with a group
+    of 18 s items both exited 2 with 'feature width ... != model width ...'."""
+    mixed = _resized(tmp_path, "mixed", [20, 20, 20, 20, 24, 24, 24, 24])
+    model = str(tmp_path / "model")
+    assert run_cli(["train", "--manifest", mixed, "--layout", "sequence", "--trees", "5",
+                    "--out", model]) == 0
+    assert run_cli(["eval", "--manifest", _gen_small_corpus(tmp_path),
+                    "--model-file", os.path.join(model, "model.json"),
+                    "--out", str(tmp_path / "eval")]) == 0
+    short_group = _resized(tmp_path, "short", [18, 20, 20, 20, 18, 20, 20, 20])
+    assert run_cli(["lopo", "--manifest", short_group, "--layout", "sequence",
+                    "--trees", "5", "--out", str(tmp_path / "lopo")]) == 0
+
+
+@pytest.mark.parametrize("command", ["cv --k 2", "lopo", "eval"])
+def test_a_test_item_longer_than_the_fitted_sequence_names_the_manifest_line(
+        tmp_path, capsys, command):
+    """cv and lopo with one 22 s item among 20 s ones exited 2 with an
+    unnamed 'feature width ... != model width ...'."""
+    manifest = _resized(tmp_path, "long", [20, 20, 22, 20, 20, 20, 20, 20])
+    argv = [*command.split(), "--manifest", manifest, "--layout", "sequence", "--trees", "5"]
+    if command == "eval":
+        model = str(tmp_path / "model")
+        assert run_cli(["train", "--manifest", _gen_small_corpus(tmp_path), "--layout",
+                        "sequence", "--trees", "5", "--out", model]) == 0
+        argv = ["eval", "--manifest", manifest,
+                "--model-file", os.path.join(model, "model.json")]
+    capsys.readouterr()
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert (f"{manifest}:3: traces/0002_appA.csv: 22 seconds, longer than the 20 the "
+            "sequences were fitted to\n") in err, err

@@ -13,7 +13,7 @@ from counterscope.defense import (
     inject_noise,
     read_access_log,
 )
-from counterscope.errors import DataError, InvalidStrategyError
+from counterscope.errors import DataError, SchemaError
 from counterscope.models import train_rf
 from counterscope.simulator import MetricResponse, SceneScript, simulate
 from counterscope.traces import TraceSet
@@ -107,12 +107,12 @@ class TestInjectNoise:
         assert a == b
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(InvalidStrategyError):
+        with pytest.raises(SchemaError, match=r"^gaussian sigma must be >= 0$"):
             GaussianNoise(-1.0)
 
     def test_unknown_strategy_rejected(self, catalog):
         trace = flat_trace(catalog, seconds=10)
-        with pytest.raises(InvalidStrategyError):
+        with pytest.raises(SchemaError, match=r"^unknown strategy object$"):
             inject_noise(trace, object(), catalog)
 
 

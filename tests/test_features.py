@@ -98,7 +98,7 @@ class TestStatFeatures:
         with pytest.raises(UnknownMetricError):
             build_stat_features(corpus, ["m_zzz"], norm)
         with pytest.raises(UnknownMetricError):
-            build_sequences(corpus, ["m_zzz"], norm)
+            build_sequences(corpus, ["m_zzz"], norm, 2)
 
 
     @pytest.mark.parametrize("layout, width", [("stat4", 4), ("stat2", 2)])
@@ -135,7 +135,7 @@ class TestStatFeatures:
         want = np.array([[v for z in zs for v in summarize(z)[:width]] for zs in series])
         assert fm.values.shape == want.shape
         assert fm.values.tobytes() == want.tobytes()
-        seq = build_sequences(corpus, chosen, norm).values
+        seq = build_sequences(corpus, chosen, norm, max(lengths)).values
         for row, zs in zip(seq, series):
             flat = np.column_stack(zs).reshape(-1)
             assert row[:flat.size].tobytes() == flat.tobytes()
@@ -168,20 +168,20 @@ class TestSequences:
             CorpusItem(TraceSet(["m_a"], np.ones((40, 1))), "b"),
         ])
         norm = NormalizationStats({"m_a": (0.0, 1.0)})
-        fm = build_sequences(corpus, ["m_a"], norm)
+        fm = build_sequences(corpus, ["m_a"], norm, 40)
         assert fm.values.shape == (2, 40)
         assert (fm.values[0][30:] == 0.0).all()
 
     def test_equal_lengths_no_padding(self):
         corpus = corpus_of([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
         norm = NormalizationStats({"m_a": (0.0, 1.0), "m_b": (0.0, 1.0)})
-        fm = build_sequences(corpus, ["m_a", "m_b"], norm)
+        fm = build_sequences(corpus, ["m_a", "m_b"], norm, 2)
         assert fm.values.tolist() == [[1.0, 3.0, 2.0, 4.0], [5.0, 7.0, 6.0, 8.0]]
 
     def test_time_major_flattening(self):
         corpus = corpus_of([[[1, 2], [3, 4]]])
         norm = NormalizationStats({"m_a": (0.0, 1.0), "m_b": (0.0, 1.0)})
-        fm = build_sequences(corpus, ["m_a", "m_b"], norm)
+        fm = build_sequences(corpus, ["m_a", "m_b"], norm, 2)
         assert fm.values[0].tolist() == [1.0, 3.0, 2.0, 4.0]
         assert fm.col_names == ["t0000_m_a", "t0000_m_b", "t0001_m_a", "t0001_m_b"]
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from counterscope.datasets import redundancy_corpus
-from counterscope.errors import DataError, InsufficientLabelsError, UnknownMetricError
+from counterscope.errors import DataError, DegenerateInputError, UnknownMetricError
 from counterscope.models import train_rf
 from counterscope.selection import (
     accuracy_screen,
@@ -164,7 +164,7 @@ class TestAccuracyScreen:
         rng = np.random.default_rng(0)
         items = [CorpusItem(TraceSet(["m_a"], rng.standard_normal((5, 1))), "only")
                  for _ in range(4)]
-        with pytest.raises(InsufficientLabelsError):
+        with pytest.raises(DegenerateInputError, match=r"^screening needs >= 2 labels$"):
             accuracy_screen(LabeledCorpus(items), self.trainer, 0.6)
 
 

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from counterscope.errors import InvalidScriptError, InvalidSpecError
+from counterscope.errors import DataError, SchemaError
 from counterscope.simulator import (
     AppSession,
     AvatarJoin,
@@ -165,7 +166,7 @@ class TestStaircase:
         assert np.unique(series).size == 1
 
     def test_negative_rejected(self, catalog):
-        with pytest.raises(InvalidScriptError):
+        with pytest.raises(DataError, match=r"^participant count must be >= 0, got -1$"):
             avatar_staircase(-1, 5, catalog)
 
     def test_inert_metrics_stay_flat(self, catalog):
@@ -198,36 +199,37 @@ class TestCorpus:
         assert len(seeds) == 9
 
     def test_single_class_rejected(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(SchemaError, match=r"^need >= 2 classes$"):
             CorpusSpec((ClassSpec("only", SceneScript()),), repetitions=2)
 
     def test_zero_repetitions_rejected(self):
         classes = (ClassSpec("a", SceneScript()), ClassSpec("b", SceneScript()))
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(SchemaError, match=r"^need >= 1 repetition$"):
             CorpusSpec(classes, repetitions=0)
 
 
 class TestValidation:
     def test_event_beyond_duration(self):
-        with pytest.raises(InvalidScriptError):
+        with pytest.raises(SchemaError, match=r"^avatar join at 11\.0 outside \[0, 10\]$"):
             SceneScript(duration_s=10, events=(AvatarJoin(11.0),))
 
     def test_nonpositive_depth(self):
-        with pytest.raises(InvalidScriptError):
-            SceneScript(duration_s=10, events=(
-                ObjectSweep(1.0, 1.0, 0.0, -5.0, 5.0, 0.0),))
+        sweep = ObjectSweep(1.0, 1.0, 0.0, -5.0, 5.0, 0.0)
+        message = f"sweep needs positive size/speed/depth: {sweep}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            SceneScript(duration_s=10, events=(sweep,))
 
     def test_negative_noise(self):
-        with pytest.raises(InvalidScriptError):
+        with pytest.raises(SchemaError, match=r"^noise_sigma must be >= 0$"):
             SceneScript(duration_s=10, noise_sigma=-1.0)
 
     def test_bad_intensity(self):
-        with pytest.raises(InvalidScriptError):
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'intensity[{NBLT!r}]=1.5 outside [0, 1]')}$"):
             SceneScript(duration_s=10, events=(
                 AppSession("a", 0.0, 5.0, {NBLT: 1.5}),))
 
     def test_bad_scene_type(self):
-        with pytest.raises(InvalidScriptError):
+        with pytest.raises(SchemaError, match=r"^scene_type must be vr\|ar, got 'mr'$"):
             SceneScript(scene_type="mr")
 
 

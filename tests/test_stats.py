@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from counterscope.errors import DegenerateXError, LengthMismatchError, TooShortSeriesError
+from counterscope.errors import DegenerateInputError
 from counterscope.stats import linreg, pearson
 from stat_reference import summarize
 
@@ -57,11 +57,11 @@ class TestPearson:
         assert pearson([1, 2, 3], [7, 7, 7]) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DegenerateInputError, match=r"^length mismatch: \(3,\) vs \(2,\)$"):
             pearson([1, 2, 3], [1, 2])
 
     def test_too_short(self):
-        with pytest.raises(TooShortSeriesError):
+        with pytest.raises(DegenerateInputError, match=r"^need at least 2 samples$"):
             pearson([1], [2])
 
     def test_oracle_equivalence_100_instances(self):
@@ -110,7 +110,7 @@ class TestLinreg:
         assert fit.r_squared == 1.0
 
     def test_degenerate_x(self):
-        with pytest.raises(DegenerateXError):
+        with pytest.raises(DegenerateInputError, match=r"^x is constant$"):
             linreg([2, 2, 2], [1, 2, 3])
 
     def test_oracle_equivalence_100_instances(self):
@@ -147,7 +147,7 @@ class TestSummarize:
         assert summarize([-1, 1]) == (0.0, 1.0, 1.0, -1.0)
 
     def test_empty(self):
-        with pytest.raises(TooShortSeriesError):
+        with pytest.raises(DegenerateInputError, match=r"^empty series$"):
             summarize([])
 
     def test_oracle_equivalence_100_instances(self):

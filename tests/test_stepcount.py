@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from counterscope.errors import NoKnownMetricsError, NoStepFoundError, TooShortError
+from counterscope.errors import DataError, DegenerateInputError, UnknownMetricError
 from counterscope.simulator import avatar_staircase
 from counterscope.stepcount import (
     count_participants,
@@ -54,7 +54,7 @@ class TestDetectSteps:
         assert events[0].magnitude == pytest.approx(2.0)
 
     def test_too_short(self):
-        with pytest.raises(TooShortError):
+        with pytest.raises(DegenerateInputError, match=r"^series of 5 samples needs >= 6$"):
             detect_steps(np.zeros(5), min_jump=0.5, window_w=3)
 
     def test_small_jump_below_threshold_ignored(self):
@@ -129,7 +129,7 @@ class TestCountParticipants:
 
     def test_no_known_metrics(self, catalog):
         trace = TraceSet(["mystery_counter"], np.zeros((20, 1)))
-        with pytest.raises(NoKnownMetricsError):
+        with pytest.raises(UnknownMetricError, match=r"^trace shares no metrics with the catalog$"):
             count_participants(trace, catalog, min_jump=1.0)
 
     def test_unknown_metrics_ignored_in_vote(self, catalog):
@@ -149,7 +149,7 @@ class TestFindAnchor:
         assert find_anchor(self.trace(series), "gpu_bus_busy", 0.5) == 12
 
     def test_flat_raises(self):
-        with pytest.raises(NoStepFoundError):
+        with pytest.raises(DataError, match=r"^no step above 0.5 in metric 'gpu_bus_busy'$"):
             find_anchor(self.trace(np.zeros(30)), "gpu_bus_busy", 0.5)
 
     def test_first_of_two_steps(self):

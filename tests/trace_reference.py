@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from counterscope import schema
-from counterscope.errors import ParseError, RaggedRowsError, SchemaError
+from counterscope.errors import ParseError, SchemaError
 from counterscope.traces import TraceSet
 
 
@@ -41,7 +41,7 @@ def read_reference(path, meta: dict[str, str] | None = None) -> TraceSet:
                 continue
             cells = line.split(",")
             if len(cells) != width:
-                raise RaggedRowsError(
+                raise SchemaError(
                     f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
             try:
                 t = int(cells[0])
