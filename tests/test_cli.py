@@ -778,10 +778,10 @@ def _envelope(key, value):
     ({"edit": lambda payload: payload["normalizer"].pop("gpu_bus_busy")},
      "'normalizer.gpu_bus_busy'"),
     (_envelope("metrics", "abc"), "'metrics'"),
-    (_envelope("metrics", []), "feature width 0 != model width 12"),
     (_envelope("layout", "stat9"), "'layout'"),
     ({"edit": _rename_first_metric}, "'metrics'"),
     (_envelope("metrics", ["gpu_bus_busy", "gpu_bus_busy"]), "'metrics'"),
+    (_envelope("metrics", []), "feature width 0 != model width 12"),
 ])
 def test_eval_refuses_to_coerce(tmp_path, capsys, context, field):
     manifest, path, _ = _eval_model_file(tmp_path)
