@@ -57,6 +57,7 @@ from .features import (  # build_*, fit_normalizer: unused here, for perfbench/s
     Fingerprinter,
     build_sequences,
     build_stat_features,
+    check_metrics,
     fit_normalizer,
 )
 from .models import (
@@ -327,8 +328,9 @@ def cmd_eval(cfg: RunConfig, out: str) -> None:
     corpus = read_manifest(cfg.args.manifest)
     path = cfg.args.model_file
     fp = load_model(path)
-    with schema.located(f"{path}: field 'metrics'"):
-        features = fp.features(corpus)
+    with schema.located(f"{path}: field 'metrics'"):  # not the corpus faults features() finds
+        check_metrics(corpus.metrics, fp.metrics)
+    features = fp.features(corpus)
     try:
         report = evaluate(fp.model, features, corpus.labels())
     except DegenerateInputError as exc:  # the model's own feature-width check

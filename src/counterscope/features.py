@@ -88,7 +88,7 @@ class FeatureMatrix:
             raise DataError("column names do not match feature width")
 
 
-def _check_metrics(corpus_metrics: list[str], requested: list[str]) -> None:
+def check_metrics(corpus_metrics: list[str], requested: list[str]) -> None:
     missing = [m for m in requested if m not in corpus_metrics]
     if missing:
         raise UnknownMetricError(f"metrics not in corpus: {missing}")
@@ -100,7 +100,7 @@ def fit_normalizer(train: LabeledCorpus, metrics: list[str]) -> NormalizationSta
     """Population (mu, sigma) per metric over all training samples concatenated."""
     if len(train) == 0:
         raise DataError("empty training corpus")
-    _check_metrics(train.metrics, metrics)
+    check_metrics(train.metrics, metrics)
     stats = {}
     for m in metrics:
         series = train.concat_metric(m)
@@ -114,7 +114,7 @@ def build_stat_features(corpus: LabeledCorpus, metrics: list[str],
     """Per-item statistical fingerprints, rows in corpus order."""
     if layout not in _STAT_SUFFIXES:
         raise DataError(f"layout must be stat4|stat2, got {layout!r}")
-    _check_metrics(corpus.metrics, metrics)
+    check_metrics(corpus.metrics, metrics)
     suffixes = _STAT_SUFFIXES[layout]
     col_names = [f"{m}_{s}" for m in metrics for s in suffixes]
     rows = np.empty((len(corpus), len(metrics), len(suffixes)))
@@ -131,7 +131,7 @@ def build_sequences(corpus: LabeledCorpus, metrics: list[str],
     """Whole normalized series per item, tail-padded with 0 to `length`
     seconds and flattened time-major (row t holds all metrics at second t).
     An item longer than `length` raises DataError naming its source."""
-    _check_metrics(corpus.metrics, metrics)
+    check_metrics(corpus.metrics, metrics)
     col_names = [f"t{t:04d}_{m}" for t in range(length) for m in metrics]
     rows = np.zeros((len(corpus), length * len(metrics)))
     for i, (item, block) in enumerate(zip(corpus, norm.zscore(corpus, metrics))):

@@ -25,6 +25,11 @@ discrete avatar steps and app-session plateaus:
 
 Everything is a pure, seeded function of its inputs: equal scripts produce
 bit-identical output.
+
+A script, its events and a corpus spec are checked once, when they are
+built: the constructors run their fields through the same schema.Param
+declarations the JSON reader uses (_SCRIPT, _event_fields, _SPEC), so a
+scene meets the same bounds and messages from a file, datasets.py or code.
 """
 
 from __future__ import annotations
@@ -205,6 +210,61 @@ class AppSession:
 
 SceneEvent = ObjectSweep | StaticObject | AvatarJoin | AppSession
 
+_EVENT_KINDS = {
+    "object_sweep": ObjectSweep,
+    "static_object": StaticObject,
+    "avatar_join": AvatarJoin,
+    "app_session": AppSession,
+}
+_KIND_OF = {cls: kind for kind, cls in _EVENT_KINDS.items()}
+
+# Event field bounds by name, as a field means the same in every event kind that
+# has it; _check_event adds that no time is past the script's duration_s.
+_TIMES = ("t_start", "t_end", "t_join")
+_EVENT_BOUNDS = {**dict.fromkeys(("size_s", "speed_v", "depth_z"), {"above": 0}),
+                 **dict.fromkeys(_TIMES, {"minimum": 0})}
+
+
+def _event_fields(cls) -> tuple[schema.Param, ...]:
+    """The fields of an event class, declared from its dataclass fields."""
+    return tuple(schema.Param(f.name, {"float": float, "str": str}.get(f.type, dict),
+                              f.default_factory() if f.default_factory is not MISSING
+                              else schema.REQUIRED if f.default is MISSING else f.default,
+                              **_EVENT_BOUNDS.get(f.name, {}))
+                 for f in dataclasses.fields(cls))
+
+
+def _check_event(ev: SceneEvent, duration: int) -> None:
+    """ev's fields through their declarations, then the rules that tie them
+    together: times within the script, an interval that ends after it starts,
+    a sweep that moves, and app gains in [0, 1]."""
+    if type(ev) not in _KIND_OF:
+        raise SchemaError(f"unknown event type {type(ev).__name__}")
+    values = schema.fields(vars(ev), _event_fields(type(ev)), "an event")
+    for key in _TIMES:
+        if values.get(key, 0) > duration:
+            raise SchemaError(f"field {key!r} must be <= duration_s {duration}, got {values[key]}")
+    start, end = values.get("t_start", 0), values.get("t_end", math.inf)
+    if end <= start:
+        raise SchemaError(f"field 't_end' must be > t_start {start}, got {end}")
+    if "x_end" in values and values["x_end"] == values["x_start"]:
+        raise SchemaError(f"field 'x_end' must differ from x_start, got {values['x_end']}")
+    for mid, gain in values.get("intensity", {}).items():
+        schema.read(gain, float, f"field 'intensity.{mid}'", minimum=0, maximum=1)
+
+
+_SCRIPT = (
+    schema.Param("scene_type", str, SCENE_VR, choices=(SCENE_VR, SCENE_AR)),
+    schema.Param("duration_s", int, 30, 1),
+    schema.Param("seed", int, 0),
+    schema.Param("fov_width_w", float, DEFAULT_FOV_HALF_WIDTH, above=0),
+    schema.Param("events", list, ()),
+    schema.Param("noise_sigma", (float, dict), None, 0),
+)
+_SPEC = (schema.Param("classes", list), schema.Param("repetitions", int, 1, 1),
+         schema.Param("seed", int, 0))
+_CLASS = (schema.Param("label", str), schema.Param("script", dict))
+
 
 @dataclass(frozen=True)
 class SceneScript:
@@ -217,53 +277,13 @@ class SceneScript:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        self.validate()
-
-    def validate(self) -> None:
-        if self.scene_type not in (SCENE_VR, SCENE_AR):
-            raise SchemaError(f"scene_type must be vr|ar, got {self.scene_type!r}")
-        if not isinstance(self.duration_s, (int, np.integer)) or self.duration_s < 1:
-            raise SchemaError(f"duration_s must be a positive integer, got {self.duration_s!r}")
-        if self.fov_width_w <= 0:
-            raise SchemaError("fov_width_w must be > 0")
-        ns = self.noise_sigma
-        if isinstance(ns, dict):
-            if any(v < 0 for v in ns.values()):
-                raise SchemaError("noise_sigma values must be >= 0")
-        elif ns is not None and ns < 0:
-            raise SchemaError("noise_sigma must be >= 0")
-        for ev in self.events:
-            self._validate_event(ev)
-
-    def _validate_event(self, ev: SceneEvent) -> None:
-        d = self.duration_s
-        if isinstance(ev, ObjectSweep):
-            if ev.depth_z <= 0 or ev.speed_v <= 0 or ev.size_s <= 0:
-                raise SchemaError(f"sweep needs positive size/speed/depth: {ev}")
-            if ev.x_end == ev.x_start:
-                raise SchemaError("sweep must cover a nonzero distance")
-            if not 0 <= ev.t_start <= d:
-                raise SchemaError(f"sweep t_start {ev.t_start} outside [0, {d}]")
-        elif isinstance(ev, StaticObject):
-            if ev.depth_z <= 0 or ev.size_s <= 0:
-                raise SchemaError(f"static object needs positive size/depth: {ev}")
-            if ev.t_end <= ev.t_start:
-                raise SchemaError("static object needs t_end > t_start")
-            if not (0 <= ev.t_start <= d and 0 <= ev.t_end <= d):
-                raise SchemaError("static object times outside script duration")
-        elif isinstance(ev, AvatarJoin):
-            if not 0 <= ev.t_join <= d:
-                raise SchemaError(f"avatar join at {ev.t_join} outside [0, {d}]")
-        elif isinstance(ev, AppSession):
-            if ev.t_end <= ev.t_start:
-                raise SchemaError("app session needs t_end > t_start")
-            if not (0 <= ev.t_start <= d and 0 <= ev.t_end <= d):
-                raise SchemaError("app session times outside script duration")
-            for mid, v in ev.intensity.items():
-                if not 0.0 <= v <= 1.0:
-                    raise SchemaError(f"intensity[{mid!r}]={v} outside [0, 1]")
-        else:
-            raise SchemaError(f"unknown event type {type(ev).__name__}")
+        schema.fields({**vars(self), "events": list(self.events)}, _SCRIPT, "a scene script")
+        if isinstance(self.noise_sigma, dict):
+            for mid, sigma in self.noise_sigma.items():
+                schema.read(sigma, float, f"field 'noise_sigma.{mid}'", minimum=0)
+        for k, ev in enumerate(self.events):
+            with schema.located(f"events[{k}]"):
+                _check_event(ev, self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -294,7 +314,6 @@ def simulate(script: SceneScript, catalog: MetricCatalog,
     """
     if len(catalog) == 0:
         raise DataError("catalog must be nonempty")
-    script.validate()
     model = ResponseModel(catalog.ids(), catalog, profile, script)
     T = script.duration_s
     t = np.arange(T, dtype=float)
@@ -367,13 +386,13 @@ class CorpusSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
+        schema.fields({**vars(self), "classes": list(self.classes)}, _SPEC, "a corpus spec")
         if len(self.classes) < 2:
             raise SchemaError("need >= 2 classes")
-        if self.repetitions < 1:
-            raise SchemaError("need >= 1 repetition")
         labels = [c.label for c in self.classes]
-        if len(set(labels)) != len(labels):
-            raise SchemaError("class labels must be unique")
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise SchemaError(f"classes[{i}]: field 'label' repeats {label!r}")
 
 
 def generate_corpus(spec: CorpusSpec, catalog: MetricCatalog,
@@ -420,30 +439,6 @@ def avatar_staircase(n: int, hold_s: int, catalog: MetricCatalog,
 # ---------------------------------------------------------------------------
 # Script (de)serialization: JSON mirror of SceneScript / CorpusSpec.
 
-_EVENT_KINDS = {
-    "object_sweep": ObjectSweep,
-    "static_object": StaticObject,
-    "avatar_join": AvatarJoin,
-    "app_session": AppSession,
-}
-
-
-def _event_to_dict(ev: SceneEvent) -> dict:
-    for kind, cls in _EVENT_KINDS.items():
-        if isinstance(ev, cls):
-            d = dataclasses.asdict(ev)
-            d["kind"] = kind
-            return d
-    raise SchemaError(f"unknown event type {type(ev).__name__}")
-
-
-def _event_fields(cls) -> tuple[schema.Param, ...]:
-    """The JSON fields of an event class, declared from its dataclass fields."""
-    return tuple(schema.Param(f.name, {"float": float, "str": str}.get(f.type, dict),
-                              f.default_factory() if f.default_factory is not MISSING
-                              else schema.REQUIRED if f.default is MISSING else f.default)
-                 for f in dataclasses.fields(cls))
-
 
 def _event_from_dict(obj: dict) -> SceneEvent:
     kind = schema.fields(obj, (schema.Param("kind", str, choices=_EVENT_KINDS),),
@@ -452,10 +447,7 @@ def _event_from_dict(obj: dict) -> SceneEvent:
     unknown = sorted(set(obj) - {p.key for p in declared} - {"kind"})
     if unknown:
         raise SchemaError(f"field {unknown[0]!r} is not a {kind} field")
-    values = schema.fields(obj, declared, "an event")
-    for mid, gain in values.get("intensity", {}).items():
-        schema.read(gain, float, f"field 'intensity.{mid}'")
-    return _EVENT_KINDS[kind](**values)
+    return _EVENT_KINDS[kind](**schema.fields(obj, declared, "an event"))
 
 
 def script_to_dict(script: SceneScript) -> dict:
@@ -465,28 +457,13 @@ def script_to_dict(script: SceneScript) -> dict:
         "seed": script.seed,
         "fov_width_w": script.fov_width_w,
         "noise_sigma": script.noise_sigma,
-        "events": [_event_to_dict(ev) for ev in script.events],
+        "events": [{**dataclasses.asdict(ev), "kind": _KIND_OF[type(ev)]}
+                   for ev in script.events],
     }
-
-
-_SCRIPT = (
-    schema.Param("scene_type", str, SCENE_VR, choices=(SCENE_VR, SCENE_AR)),
-    schema.Param("duration_s", int, 30, 1),
-    schema.Param("seed", int, 0),
-    schema.Param("fov_width_w", float, DEFAULT_FOV_HALF_WIDTH),
-    schema.Param("events", list, ()),
-    schema.Param("noise_sigma", (float, dict), None, 0),
-)
-_SPEC = (schema.Param("classes", list), schema.Param("repetitions", int, 1, 1),
-         schema.Param("seed", int, 0))
-_CLASS = (schema.Param("label", str), schema.Param("script", dict))
 
 
 def script_from_dict(obj: dict) -> SceneScript:
     values = schema.fields(obj, _SCRIPT, "a scene script")
-    if isinstance(values["noise_sigma"], dict):
-        for mid, sigma in values["noise_sigma"].items():
-            schema.read(sigma, float, f"field 'noise_sigma.{mid}'", minimum=0)
     events = []
     for k, e in enumerate(values.pop("events")):
         with schema.located(f"events[{k}]"):

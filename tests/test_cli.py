@@ -502,6 +502,58 @@ def test_malformed_inputs_exit_2_naming_file_and_field(tmp_path, capsys, name, s
     assert str(bad_file) in err and field in err, err
 
 
+def _scene_with(edit):
+    scene = {"scene_type": "vr", "duration_s": 20, "seed": 3, "events": [
+        {"kind": "app_session", "app_id": "a", "t_start": 2, "t_end": 18,
+         "intensity": {"gpu_bus_busy": 0.5}},
+        {"kind": "object_sweep", "size_s": 6.0, "speed_v": 1.0, "depth_z": 2.0,
+         "x_start": -15.0, "x_end": 15.0, "t_start": 5.0}]}
+    edit(scene)
+    return scene
+
+
+# name: (command, input file, its whole message after the file name)
+SCENE_FAULTS = {
+    "sweep-depth-0": ("simulate", _scene_with(lambda s: s["events"][1].update(depth_z=0)),
+                      "events[1]: field 'depth_z' must be > 0, got 0"),
+    "fov-0": ("simulate", _scene_with(lambda s: s.update(fov_width_w=0)),
+              "field 'fov_width_w' must be > 0, got 0"),
+    "session-past-duration": ("simulate",
+                              _scene_with(lambda s: s["events"][0].update(t_end=30)),
+                              "events[0]: field 't_end' must be <= duration_s 20, got 30"),
+    "intensity-2": ("gen-corpus", _spec_with(
+        lambda s: s["classes"][0]["script"]["events"][0]["intensity"].update(
+            non_base_level_textures=2)),
+        "classes[0]: script: events[0]: field 'intensity.non_base_level_textures' "
+        "must be <= 1, got 2"),
+    "sweep-in-place": ("simulate", _scene_with(lambda s: s["events"][1].update(x_end=-15.0)),
+                       "events[1]: field 'x_end' must differ from x_start, got -15.0"),
+    "repeated-label": ("gen-corpus", _spec_with(lambda s: s["classes"][1].update(label="appA")),
+                       "classes[1]: field 'label' repeats 'appA'"),
+}
+
+
+@pytest.mark.parametrize("name", list(SCENE_FAULTS))
+def test_a_scene_fault_names_the_file_the_event_and_the_field(tmp_path, capsys, name):
+    command, doc, message = SCENE_FAULTS[name]
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli([command, str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_the_readme_scene_script_runs(tmp_path):
+    """The documented example obeys the bounds the reader declares."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    after = readme.split("A scene script is a JSON object:", 1)[1]
+    (tmp_path / "scene.json").write_text(after.split("```json\n", 1)[1].split("```", 1)[0])
+    assert run_cli(["simulate", str(tmp_path / "scene.json"),
+                    "--out", str(tmp_path / "out")]) == 0
+
+
 CATALOG_ENTRY = {"id": "m_one", "display_name": "One", "category": "stalls", "unit": "percent"}
 
 # name: (file content, argv, what the message names besides the file); {bad}
@@ -1021,5 +1073,7 @@ def test_a_test_item_longer_than_the_fitted_sequence_names_the_manifest_line(
     capsys.readouterr()
     assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert (f"{manifest}:3: traces/0002_appA.csv: 22 seconds, longer than the 20 the "
-            "sequences were fitted to\n") in err, err
+    line = (f"{manifest}:3: traces/0002_appA.csv: 22 seconds, longer than the 20 the "
+            "sequences were fitted to\n")
+    # the fault is the corpus's, so eval does not blame the model file
+    assert (err == f"error: {line}" if command == "eval" else line in err), err

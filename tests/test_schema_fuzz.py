@@ -237,6 +237,28 @@ def test_every_file_kind_and_mutation_is_drawn_from():
                                          "bad-choice", "null", "above-maximum"}
 
 
+# every bound a scene field had before it was declared: positive sizes, speeds,
+# depths and field of view, and times >= 0
+SCENE_BOUNDS = {"object_sweep": ("size_s", "speed_v", "depth_z", "t_start"),
+                "static_object": ("size_s", "depth_z", "t_start", "t_end"),
+                "avatar_join": ("t_join",), "app_session": ("t_start", "t_end"),
+                "script": ("fov_width_w",)}
+POSITIVE = {"size_s", "speed_v", "depth_z", "fov_width_w"}
+
+
+def test_every_scene_bound_is_declared():
+    """Each scene bound sits on the Param the reader uses, so the fuzz test
+    draws a mutation from it."""
+    declared = {kind: simulator._event_fields(cls)
+                for kind, cls in simulator._EVENT_KINDS.items()}
+    declared["script"] = simulator._SCRIPT
+    for kind, keys in SCENE_BOUNDS.items():
+        params = {p.key: p for p in declared[kind]}
+        for key in keys:
+            want = (0, None) if key in POSITIVE else (None, 0)
+            assert (params[key].above, params[key].minimum) == want, (kind, key)
+
+
 def test_every_subcommand_with_options_has_a_config_target():
     assert {command for command, _, _ in CONFIGS.values()} == {
         name for name, command in cli.COMMANDS.items() if command.params}

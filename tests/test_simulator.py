@@ -204,32 +204,35 @@ class TestCorpus:
 
     def test_zero_repetitions_rejected(self):
         classes = (ClassSpec("a", SceneScript()), ClassSpec("b", SceneScript()))
-        with pytest.raises(SchemaError, match=r"^need >= 1 repetition$"):
+        with pytest.raises(SchemaError, match=r"^field 'repetitions' must be >= 1, got 0$"):
             CorpusSpec(classes, repetitions=0)
 
 
 class TestValidation:
     def test_event_beyond_duration(self):
-        with pytest.raises(SchemaError, match=r"^avatar join at 11\.0 outside \[0, 10\]$"):
+        with pytest.raises(SchemaError,
+                           match=r"^events\[0\]: field 't_join' must be <= duration_s 10, got 11\.0$"):
             SceneScript(duration_s=10, events=(AvatarJoin(11.0),))
 
     def test_nonpositive_depth(self):
         sweep = ObjectSweep(1.0, 1.0, 0.0, -5.0, 5.0, 0.0)
-        message = f"sweep needs positive size/speed/depth: {sweep}"
+        message = "events[0]: field 'depth_z' must be > 0, got 0.0"
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             SceneScript(duration_s=10, events=(sweep,))
 
     def test_negative_noise(self):
-        with pytest.raises(SchemaError, match=r"^noise_sigma must be >= 0$"):
+        with pytest.raises(SchemaError, match=r"^field 'noise_sigma' must be >= 0, got -1\.0$"):
             SceneScript(duration_s=10, noise_sigma=-1.0)
 
     def test_bad_intensity(self):
-        with pytest.raises(SchemaError, match=f"^{re.escape(f'intensity[{NBLT!r}]=1.5 outside [0, 1]')}$"):
+        with pytest.raises(SchemaError, match="^" + re.escape(
+                f"events[0]: field 'intensity.{NBLT}' must be <= 1, got 1.5") + "$"):
             SceneScript(duration_s=10, events=(
                 AppSession("a", 0.0, 5.0, {NBLT: 1.5}),))
 
     def test_bad_scene_type(self):
-        with pytest.raises(SchemaError, match=r"^scene_type must be vr\|ar, got 'mr'$"):
+        with pytest.raises(SchemaError,
+                           match=r"^field 'scene_type' must be one of \('vr', 'ar'\), got 'mr'$"):
             SceneScript(scene_type="mr")
 
 
