@@ -34,6 +34,11 @@ INCREASES = "increases_with_load"
 DECREASES = "decreases_with_load"
 
 _ID_RE = re.compile(r"^[a-z0-9_]+$")
+# a descriptor's fields, as the catalog file and the constructor check them
+_ENTRY = (schema.Param("id", str), schema.Param("display_name", str),
+          schema.Param("category", str, choices=CATEGORIES),
+          schema.Param("unit", str, choices=UNITS),
+          schema.Param("direction", str, INCREASES, choices=(INCREASES, DECREASES)))
 
 
 @dataclass(frozen=True)
@@ -52,14 +57,9 @@ class MetricDescriptor:
     direction: str = INCREASES
 
     def __post_init__(self):
+        schema.fields(vars(self), _ENTRY, "a metric descriptor")
         if not _ID_RE.match(self.id):
             raise SchemaError(f"metric id {self.id!r} is not lowercase snake_case")
-        if self.category not in CATEGORIES:
-            raise SchemaError(f"unknown category {self.category!r} for {self.id}")
-        if self.unit not in UNITS:
-            raise SchemaError(f"unknown unit {self.unit!r} for {self.id}")
-        if self.direction not in (INCREASES, DECREASES):
-            raise SchemaError(f"unknown direction {self.direction!r} for {self.id}")
 
     @property
     def sign(self) -> int:
@@ -169,17 +169,13 @@ def builtin_catalog() -> MetricCatalog:
     return MetricCatalog(tuple(entries))
 
 
-_ENTRY = (schema.Param("id", str), schema.Param("display_name", str),
-          schema.Param("category", str), schema.Param("unit", str),
-          schema.Param("direction", str, INCREASES))
-
-
 def load_catalog(path) -> MetricCatalog:
     """Load a catalog from a JSON array file, preserving file order.
 
-    Raises SchemaError naming the file and the offending entry index on
-    duplicate ids, unknown categories/units/directions, or missing fields;
-    OSError if the file cannot be read.
+    Raises SchemaError naming the file, the entry index and the field on a
+    missing field, a wrong kind, a category, unit or direction outside the
+    choices of _ENTRY (which MetricDescriptor checks too), or a malformed or
+    duplicate id; OSError if the file cannot be read.
     """
     with schema.located(path):
         entries = []

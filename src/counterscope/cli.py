@@ -9,8 +9,9 @@ default seed.
 COMMANDS declares every subcommand once: its handler, its help, its path
 arguments and its options. Each option is a schema.Param, the one place that
 gives its flag, its config key, its kind, its default, its bounds, its choices
-and its help; `counterscope <cmd> --help` lists them. The model options come
-from models.FAMILIES and the noise options from defense.STRATEGIES. A handler
+and its help; `counterscope <cmd> --help` lists them. An option that a
+library call takes is the Param its module declares and checks it through
+(models.FAMILIES, defense.STRATEGIES, defense.DETECTION ...). A handler
 reads its options through RunConfig, which checks each value against its
 Param, names the flag or config key of a bad one, and records the value in
 effective_config.json.
@@ -39,10 +40,7 @@ import numpy as np
 from . import plots, schema, stepcount
 from .catalog import builtin_catalog, load_catalog
 from .defense import (
-    DEFAULT_CV_THRESHOLD,
-    DEFAULT_EXPECTED_PERIOD_S,
-    DEFAULT_MIN_EVENTS,
-    DEFAULT_PERIOD_TOLERANCE_S,
+    DETECTION,
     STRATEGIES,
     GaussianNoise,
     detect_profiler_access,
@@ -73,15 +71,10 @@ from .models import (
     train_mlp,
     train_rf,
 )
-from .models.evaluation import DEFAULT_FOLDS
+from .models.evaluation import FOLDS
 from .schema import Param
 from .seeding import derive_seed
-from .selection import (
-    DEFAULT_PRUNE_THRESHOLD,
-    DEFAULT_SCREEN_THRESHOLD,
-    accuracy_screen,
-    correlation_prune,
-)
+from .selection import PRUNE_THRESHOLD, SCREEN_THRESHOLD, accuracy_screen, correlation_prune
 from .simulator import (
     builtin_profile,
     generate_corpus,
@@ -92,8 +85,6 @@ from .simulator import (
 )
 from .stats import linreg, pearson
 from .stepcount import (  # default_min_jumps, detect_steps: unused here, for perfbench/spans.py
-    DEFAULT_MIN_GAP_S,
-    DEFAULT_WINDOW_S,
     default_min_jumps,
     detect_steps,
 )
@@ -432,8 +423,7 @@ def cmd_defend_inject(cfg: RunConfig, out: str) -> None:
 
 def cmd_defend_detect(cfg: RunConfig, out: str) -> None:
     log = read_access_log(cfg.args.log)
-    verdict = detect_profiler_access(log, **cfg.params(
-        "min_events", "cv_threshold", "expected_period", "period_tolerance"))
+    verdict = detect_profiler_access(log, **cfg.params(*(p.key for p in DETECTION)))
     _write_json(os.path.join(out, "verdict.json"), verdict.to_dict())
     print(f"flagged={verdict.flagged} cv={verdict.cv:.4f} n={verdict.n_events}"
           + (f" period={verdict.estimated_period_s:.3f}s" if verdict.flagged else ""))
@@ -500,7 +490,6 @@ _PATHS = {"scene": "scene script JSON", "corpus_spec": "corpus spec JSON",
           "log": "one timestamp (seconds) per line"}
 _MODEL = Param("model", str, "rf", choices=tuple(FAMILIES), help="classifier family")
 _LAYOUT = Param("layout", str, LAYOUT_STAT4, choices=LAYOUTS, help="feature layout")
-_FOLDS = Param("k", int, DEFAULT_FOLDS, 2, help="folds")
 _ALL_MODEL = tuple(dict.fromkeys(p.key for f in FAMILIES.values() for p in f.params
                                  if p.key != "seed"))  # the run seed is --seed
 
@@ -509,27 +498,22 @@ COMMANDS = {
                         ("scene",)),
     "gen-corpus": Command(cmd_gen_corpus, "generate a labeled corpus from a corpus spec",
                           ("corpus_spec",)),
-    "prune": Command(cmd_prune, "pairwise-correlation metric pruning", ("--manifest",), (
-        Param("threshold", float, DEFAULT_PRUNE_THRESHOLD, above=0, maximum=1,
-              help="|r| redundancy threshold"),)),
-    "screen": Command(cmd_screen, "per-metric accuracy screening", ("--manifest",), (
-        Param("threshold_acc", float, DEFAULT_SCREEN_THRESHOLD, above=0, maximum=1,
-              help="accuracy floor"),), ("trees",)),
+    "prune": Command(cmd_prune, "pairwise-correlation metric pruning", ("--manifest",),
+                     (PRUNE_THRESHOLD,)),
+    "screen": Command(cmd_screen, "per-metric accuracy screening", ("--manifest",),
+                      (SCREEN_THRESHOLD,), ("trees",)),
     "train": Command(cmd_train, "train a classifier on a manifest corpus", ("--manifest",),
                      (_MODEL, _LAYOUT), _ALL_MODEL),
     "eval": Command(cmd_eval, "evaluate a saved model on a manifest corpus",
                     ("--manifest", "--model-file")),
     "cv": Command(cmd_cv, "stratified k-fold cross-validation", ("--manifest",),
-                  (_FOLDS, _MODEL, _LAYOUT), _ALL_MODEL),
+                  (FOLDS, _MODEL, _LAYOUT), _ALL_MODEL),
     "lopo": Command(cmd_lopo, "leave-one-group-out cross-validation", ("--manifest",),
                     (_MODEL, _LAYOUT), _ALL_MODEL),
     "grid": Command(cmd_grid, "grid search with k-fold CV", ("--manifest", "--grid"),
-                    (_FOLDS, _MODEL, _LAYOUT), _ALL_MODEL),
-    "count": Command(cmd_count, "participant counting via step detection", ("--trace",), (
-        Param("min_jump", float, None, 0,
-              help="global jump threshold; unset: 4 sigma per metric of --profile"),
-        Param("window", int, DEFAULT_WINDOW_S, 1, arg="window_w", help="mean window seconds"),
-        Param("gap", int, DEFAULT_MIN_GAP_S, 0, arg="min_gap", help="merge gap seconds"))),
+                    (FOLDS, _MODEL, _LAYOUT), _ALL_MODEL),
+    "count": Command(cmd_count, "participant counting via step detection", ("--trace",),
+                     (stepcount.MIN_JUMP, stepcount.WINDOW, stepcount.GAP)),
     "correlate": Command(cmd_correlate, "pixel-vs-metric regression and correlation",
                          ("--pixels", "--trace"), (
         Param("metric", str, "non_base_level_textures", help="metric id"),)),
@@ -538,12 +522,8 @@ COMMANDS = {
         Param("strategy", str, "gaussian", choices=tuple(STRATEGIES), help="perturbation kind"),
         *(p for _, params in STRATEGIES.values() for p in params))),
     "defend detect": Command(cmd_defend_detect,
-                             "flag repetitive profiler access in a timestamp log", ("--log",), (
-        Param("min_events", int, DEFAULT_MIN_EVENTS, 1, help="fewest reads flagged"),
-        Param("cv_threshold", float, DEFAULT_CV_THRESHOLD, 0, help="gap variation flagged below"),
-        Param("expected_period", float, DEFAULT_EXPECTED_PERIOD_S, 0, arg="expected_period_s",
-              help="profiler tick seconds"),
-        Param("period_tolerance", float, DEFAULT_PERIOD_TOLERANCE_S, 0, help="tick tolerance"))),
+                             "flag repetitive profiler access in a timestamp log", ("--log",),
+                             DETECTION),
     "defend curve": Command(cmd_defend_curve, "accuracy degradation curve under injected noise",
                             ("--manifest",), (
         Param("levels", str, "0,2,5,10,25", help="comma-separated increasing sigma multipliers"),

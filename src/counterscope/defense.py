@@ -4,12 +4,13 @@ Noise injection models the defender's dummy work at the level the attacker
 sees (the counter traces): a Gaussian strategy widens every metric's noise
 floor by a multiple of its simulator sigma, while a dummy-render strategy
 superimposes the load response of Poisson-arriving throwaway objects.
-STRATEGIES declares both by name, with the parameters the CLI reads.
+STRATEGIES declares both by name, with the parameters that the CLI reads
+and that each constructor checks its fields through.
 
 Access detection gates on regularity: a log is flagged when it has enough
 events, the inter-arrival coefficient of variation is small, and the median
 period sits near the profiler's 1-second tick. Shifting all timestamps by a
-constant changes nothing.
+constant changes nothing. DETECTION declares the detector's options.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .seeding import derive_seed
 from .simulator import COVERAGE_KAPPA, MetricResponse, ResponseModel
 from .traces import LabeledCorpus, TraceSet
 
-DEFAULT_MIN_EVENTS = 20
-DEFAULT_CV_THRESHOLD = 0.1
-DEFAULT_EXPECTED_PERIOD_S = 1.0
-DEFAULT_PERIOD_TOLERANCE_S = 0.25
 CURVE_TRAIN_FRACTION = 0.8  # share of each label's items the curve's model trains on
 
 
@@ -86,11 +83,23 @@ class DetectionVerdict:
         }
 
 
-def detect_profiler_access(log: AccessLog, min_events: int = DEFAULT_MIN_EVENTS,
-                           cv_threshold: float = DEFAULT_CV_THRESHOLD,
-                           expected_period_s: float = DEFAULT_EXPECTED_PERIOD_S,
-                           period_tolerance: float = DEFAULT_PERIOD_TOLERANCE_S) -> DetectionVerdict:
+# detect_profiler_access's options, as its keywords and the CLI's flags take them
+DETECTION = (_EVENTS, _CV, _PERIOD, _TOLERANCE) = (
+    Param("min_events", int, 20, 1, help="fewest reads flagged"),
+    Param("cv_threshold", float, 0.1, 0, help="gap variation flagged below"),
+    Param("expected_period", float, 1.0, 0, arg="expected_period_s",
+          help="profiler tick seconds"),
+    Param("period_tolerance", float, 0.25, 0, help="tick tolerance"))
+
+
+def detect_profiler_access(log: AccessLog, min_events: int = _EVENTS.default,
+                           cv_threshold: float = _CV.default,
+                           expected_period_s: float = _PERIOD.default,
+                           period_tolerance: float = _TOLERANCE.default) -> DetectionVerdict:
     """Flag a log iff it is long, regular, and near the expected period."""
+    for p, value in zip(DETECTION, (min_events, cv_threshold, expected_period_s,
+                                    period_tolerance)):
+        p.read(value)
     n = len(log)
     if n < 2:
         return DetectionVerdict(False, None, float("inf"), n)
@@ -116,8 +125,8 @@ class GaussianNoise:
         return self.sigma
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise SchemaError("gaussian sigma must be >= 0")
+        for p in STRATEGIES["gaussian"][1]:
+            p.read(getattr(self, p.keyword))
 
 
 @dataclass(frozen=True)
@@ -134,10 +143,8 @@ class DummyRender:
         return self.rate_per_s
 
     def __post_init__(self):
-        if self.rate_per_s < 0:
-            raise SchemaError("dummy-render rate must be >= 0")
-        if self.size_s <= 0 or self.depth_z <= 0:
-            raise SchemaError("dummy-render size/depth must be > 0")
+        for p in STRATEGIES["dummy"][1]:
+            p.read(getattr(self, p.keyword))
 
 
 NoiseStrategy = GaussianNoise | DummyRender

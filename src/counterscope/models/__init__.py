@@ -14,7 +14,7 @@ from .evaluation import (
     stratified_folds,
     stratified_split,
 )
-from .forest import DEFAULT_N_TREES, RandomForestModel, train_rf
+from .forest import RandomForestModel, train_rf
 from .linear import LinearSvmModel, train_linear_svm
 from .mlp import MlpModel, MlpParams, init_params, loss_and_grads, train_mlp
 from .neighbors import KnnModel, train_knn
@@ -31,7 +31,6 @@ __all__ = [
     "split_corpus",
     "stratified_folds",
     "stratified_split",
-    "DEFAULT_N_TREES",
     "RandomForestModel",
     "train_rf",
     "LinearSvmModel",

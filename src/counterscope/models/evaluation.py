@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateInputError, UnknownLabelError
+from ..schema import Param
 
-DEFAULT_FOLDS = 5
+FOLDS = Param("k", int, 5, 2, help="folds")  # kfold_cv's k, as the cv and grid flag --k
 
 
 def _ratio(num: float, den: float) -> float:
@@ -196,10 +197,9 @@ def _pooled_cv(corpus, fit, folds) -> EvaluationReport:
     return EvaluationReport.from_confusion(axis, pooled, folds=fold_reports)
 
 
-def kfold_cv(corpus, fit, k: int = DEFAULT_FOLDS, seed: int = 0) -> EvaluationReport:
+def kfold_cv(corpus, fit, k: int = FOLDS.default, seed: int = 0) -> EvaluationReport:
     """Stratified k-fold CV; pooled confusion plus per-fold sub-reports."""
-    if k < 2:
-        raise DegenerateInputError(f"k must be >= 2, got {k}")
+    FOLDS.read(k)
     return _pooled_cv(corpus, fit, stratified_folds(corpus.labels(), k, seed))
 
 
@@ -213,7 +213,7 @@ def lopo_cv(corpus, fit) -> EvaluationReport:
                       [[i for i, gg in enumerate(groups) if gg == g] for g in distinct])
 
 
-def grid_search(corpus, fit_family, grid, k: int = DEFAULT_FOLDS, seed: int = 0):
+def grid_search(corpus, fit_family, grid, k: int = FOLDS.default, seed: int = 0):
     """Exhaustive CV over a parameter grid -> (best params, its CV report).
 
     fit_family(params) returns a kfold_cv fit; best = highest mean fold

@@ -41,7 +41,7 @@ from .. import schema
 from ..errors import DegenerateInputError, SchemaError
 from ..seeding import derive_seed
 
-DEFAULT_N_TREES = 100
+TREES = schema.Param("trees", int, 100, 1, arg="n_trees")  # train_rf's n_trees, as --trees
 
 # Upper bound on the elements of the arrays one batched step of the split
 # search (nodes x candidates x row slots) or of prediction (trees x rows)
@@ -234,12 +234,11 @@ def training_set(features, labels):
     return (X, *encode_labels(labels))
 
 
-def train_rf(features, labels, n_trees: int = DEFAULT_N_TREES,
+def train_rf(features, labels, n_trees: int = TREES.default,
              max_depth: int | None = None, min_samples_split: int = 2,
              feature_subsample: int | None = None, seed: int = 0) -> RandomForestModel:
     """Grow a seeded forest; equal seeds give equal forests."""
-    if n_trees < 1:
-        raise DegenerateInputError("n_trees must be >= 1")
+    TREES.read(n_trees)
     X, classes, y_idx = training_set(features, labels)
     d = X.shape[1]
     m = feature_subsample if feature_subsample is not None else int(np.ceil(np.sqrt(d)))

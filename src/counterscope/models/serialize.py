@@ -16,7 +16,7 @@ from .. import schema
 from ..errors import SchemaError
 from ..features import LAYOUTS, Fingerprinter, NormalizationStats
 from ..schema import Param
-from .forest import DEFAULT_N_TREES, RandomForestModel, train_rf
+from .forest import TREES, RandomForestModel, train_rf
 from .linear import LinearSvmModel, train_linear_svm
 from .mlp import MlpModel, train_mlp
 from .neighbors import KnnModel, train_knn
@@ -35,8 +35,7 @@ _SEED = Param("seed", int, 0, 0)  # the CLI passes its run seed here
 
 FAMILIES = {
     "rf": Family(RandomForestModel, train_rf, (
-        Param("trees", int, DEFAULT_N_TREES, 1, arg="n_trees"),
-        Param("max_depth", int, None, 0, help="unlimited if unset"), _SEED)),
+        TREES, Param("max_depth", int, None, 0, help="unlimited if unset"), _SEED)),
     "svm": Family(LinearSvmModel, train_linear_svm, (
         Param("lr", float, 0.01, 0), Param("epochs", int, 50, 0),
         Param("reg_lambda", float, 1e-3, 0), _SEED)),

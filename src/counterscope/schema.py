@@ -1,7 +1,8 @@
-"""One reader for every input file and option: JSON syntax, field kinds,
-bounds, choices and array shapes, each checked where the value enters.
-Param declares a value once: a file's field, or a CLI option with its flag,
-config key, default and help.
+"""One reader for every input file, option and library value: JSON syntax,
+field kinds, bounds, choices and array shapes, each checked where the value
+enters. Param declares a value once: a file's field, or a CLI option with
+its flag, config key, default and help, which the library constructor or
+function that takes the value checks it through too.
 
 A malformed value raises SchemaError naming the file and the field, e.g.
 "spec.json: classes[1]: script: field 'duration_s' must be an integer, got
@@ -51,10 +52,12 @@ class Param(NamedTuple):
     def keyword(self) -> str:
         return self.arg or self.key
 
-    def read(self, value, where: str):
-        """`value` through read() against this declaration."""
-        return read(value, self.kind, where, self.minimum, self.choices,
-                    self.nullable or self.default is None, self.above, self.maximum)
+    def read(self, value, where: str | None = None):
+        """`value` through read() against this declaration, named `where`,
+        by default "field '<keyword>'", as a library call takes it."""
+        return read(value, self.kind, where or f"field '{self.keyword}'", self.minimum,
+                    self.choices, self.nullable or self.default is None, self.above,
+                    self.maximum)
 
     def get(self, obj: dict, at: str = "", shape: tuple | None = None):
         """obj[key] through read(), or through array() where a `shape` is

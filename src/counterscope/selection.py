@@ -16,11 +16,15 @@ from dataclasses import dataclass
 
 from .errors import DataError, DegenerateInputError, UnknownMetricError
 from .features import LAYOUT_STAT4, Fingerprinter
+from .schema import Param
 from .stats import pearson
 from .traces import LabeledCorpus
 
-DEFAULT_PRUNE_THRESHOLD = 0.90
-DEFAULT_SCREEN_THRESHOLD = 0.60
+# the thresholds of correlation_prune and accuracy_screen, as prune's and screen's flags
+PRUNE_THRESHOLD = Param("threshold", float, 0.90, above=0, maximum=1,
+                        help="|r| redundancy threshold")
+SCREEN_THRESHOLD = Param("threshold_acc", float, 0.60, above=0, maximum=1,
+                         help="accuracy floor")
 SCREEN_TRAIN_FRACTION = 0.8  # share of each label's items the screen trains on
 PROFILER_METRIC_CAP = 30  # concurrent real-time counters the profiler tolerates
 
@@ -51,14 +55,13 @@ class PruneReport:
 
 
 def correlation_prune(reference: LabeledCorpus, catalog_order: list[str],
-                      threshold: float = DEFAULT_PRUNE_THRESHOLD) -> PruneReport:
+                      threshold: float = PRUNE_THRESHOLD.default) -> PruneReport:
     """Drop the second metric of every |r| > threshold pair, catalog order.
 
     Correlations are computed on each metric's columns concatenated across
     all reference items, un-normalized.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise DataError(f"threshold must be in (0, 1], got {threshold}")
+    PRUNE_THRESHOLD.read(threshold)
     if len(reference) == 0:
         raise DataError("empty reference corpus")
     corpus_metrics = set(reference.metrics)
@@ -87,7 +90,8 @@ def correlation_prune(reference: LabeledCorpus, catalog_order: list[str],
     return PruneReport(tuple(retained), tuple(dropped))
 
 
-def accuracy_screen(corpus: LabeledCorpus, trainer, threshold_acc: float = DEFAULT_SCREEN_THRESHOLD,
+def accuracy_screen(corpus: LabeledCorpus, trainer,
+                    threshold_acc: float = SCREEN_THRESHOLD.default,
                     split_seed: int = 0) -> list[tuple[str, float]]:
     """Score each metric alone and keep those with accuracy > threshold_acc.
 
@@ -97,8 +101,7 @@ def accuracy_screen(corpus: LabeledCorpus, trainer, threshold_acc: float = DEFAU
     """
     from .models.evaluation import evaluate, split_corpus
 
-    if not 0.0 < threshold_acc <= 1.0:
-        raise DataError(f"threshold_acc must be in (0, 1], got {threshold_acc}")
+    SCREEN_THRESHOLD.read(threshold_acc)
     if len(set(corpus.labels())) < 2:
         raise DegenerateInputError("screening needs >= 2 labels")
     order = {m: i for i, m in enumerate(corpus.metrics)}

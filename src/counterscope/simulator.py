@@ -26,10 +26,10 @@ discrete avatar steps and app-session plateaus:
 Everything is a pure, seeded function of its inputs: equal scripts produce
 bit-identical output.
 
-A script, its events and a corpus spec are checked once, when they are
-built: the constructors run their fields through the same schema.Param
-declarations the JSON reader uses (_SCRIPT, _event_fields, _SPEC), so a
-scene meets the same bounds and messages from a file, datasets.py or code.
+Scripts, events, corpus specs, their classes and metric responses are
+checked once, when they are built: the constructors run their fields through
+the schema.Param declarations the JSON readers use, so a scene or a profile
+meets the same bounds and messages from a file, datasets.py or code.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ class MetricResponse:
     delta: float
     sigma: float
 
+    def __post_init__(self):
+        schema.fields(vars(self), _RESPONSE, "a response")
+
+
+_RESPONSE = tuple(schema.Param(f.name, float, minimum=0 if f.name == "sigma" else None)
+                  for f in dataclasses.fields(MetricResponse))
 
 # Default response profile for the built-in catalog. Magnitudes are synthetic
 # but keep percent metrics inside [0, 100] for the shipped scenarios, keep
@@ -143,10 +149,6 @@ class ResponseModel:
 
 def builtin_profile() -> dict[str, MetricResponse]:
     return dict(DEFAULT_PROFILE)
-
-
-_RESPONSE = tuple(schema.Param(f.name, float, minimum=0 if f.name == "sigma" else None)
-                  for f in dataclasses.fields(MetricResponse))
 
 
 def load_profile(path) -> dict[str, MetricResponse]:
@@ -376,6 +378,9 @@ def simulate(script: SceneScript, catalog: MetricCatalog,
 class ClassSpec:
     label: str
     script: SceneScript
+
+    def __post_init__(self):
+        _CLASS[0].get(vars(self))  # the label; the script checked itself when it was built
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ is given, else 4 sigma of its response profile (ResponseModel).
 count_participants is the one counting path: the `count` subcommand calls it
 once and writes the step events it returns to steps.csv. `count --profile`
 feeds the default thresholds, so it is read only when `--min-jump` is unset.
+MIN_JUMP, WINDOW and GAP declare the detection options for both.
 """
 
 from __future__ import annotations
@@ -26,12 +27,17 @@ import numpy as np
 
 from .catalog import MetricCatalog
 from .errors import DataError, DegenerateInputError, UnknownMetricError
+from .schema import REQUIRED, Param
 from .simulator import DEFAULT_PROFILE, MetricResponse, ResponseModel
 from .traces import TraceSet
 
-DEFAULT_WINDOW_S = 3
-DEFAULT_MIN_GAP_S = 3
 MIN_JUMP_SIGMA_FACTOR = 4.0
+
+# the step-detection options, as their keywords and the count command's flags take them
+MIN_JUMP = Param("min_jump", float, None, 0,
+                 help="global jump threshold; unset: 4 sigma per metric of --profile")
+WINDOW = Param("window", int, 3, 1, arg="window_w", help="mean window seconds")
+GAP = Param("gap", int, 3, 0, arg="min_gap", help="merge gap seconds")
 
 
 @dataclass(frozen=True)
@@ -47,12 +53,13 @@ class StepEvent:
             raise DataError("magnitude sign does not match sign field")
 
 
-def detect_steps(series, min_jump: float, window_w: int = DEFAULT_WINDOW_S,
-                 min_gap: int = DEFAULT_MIN_GAP_S) -> list[StepEvent]:
+def detect_steps(series, min_jump: float, window_w: int = WINDOW.default,
+                 min_gap: int = GAP.default) -> list[StepEvent]:
     """Time-ordered step events of a 1-D series."""
+    MIN_JUMP._replace(default=REQUIRED).read(min_jump)  # only count_participants takes None
+    WINDOW.read(window_w)
+    GAP.read(min_gap)
     series = np.asarray(series, dtype=float)
-    if window_w < 1:
-        raise DataError("window_w must be >= 1")
     if series.size < 2 * window_w:
         raise DegenerateInputError(f"series of {series.size} samples needs >= {2 * window_w}")
     cum = np.concatenate([[0.0], np.cumsum(series)])
@@ -91,8 +98,8 @@ def default_min_jumps(profile: dict[str, MetricResponse] | None = None,
 
 
 def count_participants(trace: TraceSet, catalog: MetricCatalog,
-                       min_jump: float | None = None, window_w: int = DEFAULT_WINDOW_S,
-                       min_gap: int = DEFAULT_MIN_GAP_S,
+                       min_jump: float | None = MIN_JUMP.default,
+                       window_w: int = WINDOW.default, min_gap: int = GAP.default,
                        profile: dict[str, MetricResponse] | None = None):
     """(majority count, per-metric counts, per-metric step events) over the
     trace's catalog metrics, in trace order.
@@ -103,7 +110,7 @@ def count_participants(trace: TraceSet, catalog: MetricCatalog,
     known = [m for m in trace.metrics if m in catalog]
     if not known:
         raise UnknownMetricError("trace shares no metrics with the catalog")
-    jumps = (dict.fromkeys(known, float(min_jump)) if min_jump is not None
+    jumps = (dict.fromkeys(known, min_jump) if min_jump is not None
              else default_min_jumps(profile, known))
     events = {m: detect_steps(trace.values(m), jumps[m], window_w, min_gap) for m in known}
     per_metric = {m: sum(1 for ev in evs if ev.sign == catalog.get(m).sign)
@@ -114,8 +121,7 @@ def count_participants(trace: TraceSet, catalog: MetricCatalog,
 
 
 def find_anchor(trace: TraceSet, metric: str, min_jump: float,
-                window_w: int = DEFAULT_WINDOW_S,
-                min_gap: int = DEFAULT_MIN_GAP_S) -> int:
+                window_w: int = WINDOW.default, min_gap: int = GAP.default) -> int:
     """Sample index of the first detected step, for window extraction."""
     events = detect_steps(trace.values(metric), min_jump, window_w, min_gap)
     if not events:

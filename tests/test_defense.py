@@ -107,7 +107,7 @@ class TestInjectNoise:
         assert a == b
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(SchemaError, match=r"^gaussian sigma must be >= 0$"):
+        with pytest.raises(SchemaError, match=r"^field 'sigma' must be >= 0, got -1.0$"):
             GaussianNoise(-1.0)
 
     def test_unknown_strategy_rejected(self, catalog):

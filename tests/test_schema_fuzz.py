@@ -8,21 +8,30 @@ its choices, or an object replaced by a list. The CLI must exit 2 naming the
 file and the field, and never 3. The config files' keys come from the CLI's
 command table, with the parameters of the model family or noise strategy
 each one selects.
+
+The same declarations check the library's constructors and functions:
+LIBRARY breaks each bounded value once through the call that takes it, which
+must raise SchemaError naming the field.
 """
 
 import copy
+import inspect
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from counterscope import catalog, cli, simulator, traces
-from counterscope.models import FAMILIES, forest, serialize
-from counterscope.defense import STRATEGIES
+from counterscope import catalog, cli, defense, selection, simulator, stepcount, traces
+from counterscope.catalog import MetricDescriptor
+from counterscope.defense import DETECTION, STRATEGIES, AccessLog, DummyRender, GaussianNoise
+from counterscope.errors import SchemaError
+from counterscope.models import FAMILIES, evaluation, forest, serialize
 from counterscope.schema import REQUIRED, Param
+from counterscope.simulator import ClassSpec, MetricResponse, SceneScript
 from counterscope.traces import TraceSet
 
 SPEC = {"seed": 3, "repetitions": 2, "classes": [
@@ -235,6 +244,117 @@ def test_every_file_kind_and_mutation_is_drawn_from():
     assert {m[0] for m in MUTATIONS} == set(TARGETS)
     assert {m[3] for m in MUTATIONS} == {"non-object", "wrong-kind", "below-minimum", "missing",
                                          "bad-choice", "null", "above-maximum"}
+    assert {m[2] for m in MUTATIONS if m[0] == "catalog" and m[3] == "bad-choice"} == {
+        "category", "unit", "direction"}
+
+
+NAN = float("nan")
+SERIES = np.zeros(12)
+GAUSSIAN, = STRATEGIES["gaussian"][1]
+RATE, SIZE, DEPTH = STRATEGIES["dummy"][1]
+
+# (case, the Param that declares the broken value, a library call that breaks
+# it); each function checks its arguments before it uses the others
+LIBRARY = [
+    ("response-sigma", simulator._RESPONSE[4], lambda: MetricResponse(1.0, 1.0, 1.0, 1.0, -1.0)),
+    ("response-nan", simulator._RESPONSE[0], lambda: MetricResponse(NAN, 1.0, 1.0, 1.0, 1.0)),
+    ("class-label", simulator._CLASS[0], lambda: ClassSpec(1, SceneScript(duration_s=5))),
+    ("descriptor-category", catalog._ENTRY[2],
+     lambda: MetricDescriptor("m", "M", "nonsense", "percent")),
+    ("descriptor-unit", catalog._ENTRY[3],
+     lambda: MetricDescriptor("m", "M", "stalls", "furlongs")),
+    ("descriptor-direction", catalog._ENTRY[4],
+     lambda: MetricDescriptor("m", "M", "stalls", "percent", "sideways")),
+    ("gaussian-negative", GAUSSIAN, lambda: GaussianNoise(-1.0)),
+    ("gaussian-bool", GAUSSIAN, lambda: GaussianNoise(True)),
+    ("gaussian-nan", GAUSSIAN, lambda: GaussianNoise(NAN)),
+    ("gaussian-str", GAUSSIAN, lambda: GaussianNoise("2")),
+    ("dummy-rate", RATE, lambda: DummyRender(-1.0)),
+    ("dummy-size-nan", SIZE, lambda: DummyRender(1.0, size_s=NAN)),
+    ("dummy-depth", DEPTH, lambda: DummyRender(1.0, depth_z=0.0)),
+    ("steps-window", stepcount.WINDOW, lambda: stepcount.detect_steps(SERIES, 1.0, window_w=2.5)),
+    ("steps-min-jump", stepcount.MIN_JUMP, lambda: stepcount.detect_steps(SERIES, NAN)),
+    ("steps-min-gap", stepcount.GAP, lambda: stepcount.detect_steps(SERIES, 1.0, min_gap=-1)),
+    ("kfold-k", evaluation.FOLDS, lambda: evaluation.kfold_cv(None, None, k=1)),
+    ("rf-trees", forest.TREES, lambda: forest.train_rf(np.eye(2), ["a", "b"], n_trees=0)),
+    ("prune-threshold", selection.PRUNE_THRESHOLD,
+     lambda: selection.correlation_prune(None, [], threshold=1.5)),
+    ("screen-threshold", selection.SCREEN_THRESHOLD,
+     lambda: selection.accuracy_screen(None, None, threshold_acc=0.0)),
+    *((f"detect-{p.key}", p, lambda p=p: defense.detect_profiler_access(
+        AccessLog(()), **{p.keyword: -1})) for p in DETECTION),
+]
+
+
+@pytest.mark.parametrize("param, call", [case[1:] for case in LIBRARY],
+                         ids=[case[0] for case in LIBRARY])
+def test_library_call_checks_through_the_declaration(param, call):
+    with pytest.raises(SchemaError, match=f"^field '{param.keyword}' must be "):
+        call()
+
+
+def _bounded(p):
+    return (p.minimum, p.above, p.maximum) != (None, None, None)
+
+
+def test_every_library_bound_is_broken_once():
+    """Each bounded option of a command, the forest's tree count, the profile's
+    sigma and the catalog's choices meet a LIBRARY case."""
+    hit = {id(p) for _, p, _ in LIBRARY}
+    want = [p for command in cli.COMMANDS.values() for p in command.params if _bounded(p)]
+    want += [forest.TREES, *filter(_bounded, simulator._RESPONSE),
+             *(p for p in catalog._ENTRY if p.choices is not None)]
+    assert [p.key for p in want if id(p) not in hit] == []
+
+
+def _params(value):
+    """The Params a module-level value holds: itself, or those in its tuples,
+    lists and dicts."""
+    if isinstance(value, Param):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _params(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _params(v)
+
+
+def _declared(module):
+    """The Params a module's globals hold."""
+    return [p for key, value in vars(module).items() if not key.startswith("__")
+            for p in _params(value)]
+
+
+# library calls and the Params whose defaults their signatures take
+SIGNATURES = [(forest.train_rf, (forest.TREES,)), (evaluation.kfold_cv, (evaluation.FOLDS,)),
+              (evaluation.grid_search, (evaluation.FOLDS,)),
+              (selection.correlation_prune, (selection.PRUNE_THRESHOLD,)),
+              (selection.accuracy_screen, (selection.SCREEN_THRESHOLD,)),
+              (stepcount.detect_steps, (stepcount.WINDOW, stepcount.GAP)),
+              (stepcount.count_participants, (stepcount.MIN_JUMP, stepcount.WINDOW,
+                                              stepcount.GAP)),
+              (stepcount.find_anchor, (stepcount.WINDOW, stepcount.GAP)),
+              (defense.detect_profiler_access, DETECTION), (DummyRender, (SIZE, DEPTH))]
+
+
+def test_no_bound_is_declared_twice():
+    """Each bounded option of a command or a model family is the Param object
+    a library module declares, not an equal copy; no two declarations are
+    equal copies; and a library call's default is its Param's."""
+    library = [p for name, module in sys.modules.items()
+               if name.startswith("counterscope.") and name != "counterscope.cli"
+               for p in _declared(module)]
+    ids = {id(p) for p in library}
+    options = [p for command in cli.COMMANDS.values() for p in command.params]
+    options += [p for family in FAMILIES.values() for p in family.params]
+    assert [p.key for p in options if _bounded(p) and id(p) not in ids] == []
+    every = list({id(p): p for p in (*library, *_declared(cli))}.values())
+    bounded = [p for p in every if _bounded(p)]
+    assert [p.key for i, p in enumerate(bounded) if p in bounded[:i]] == []
+    for fn, params in SIGNATURES:
+        signature = inspect.signature(fn).parameters
+        assert [signature[p.keyword].default for p in params] == [p.default for p in params]
 
 
 # every bound a scene field had before it was declared: positive sizes, speeds,

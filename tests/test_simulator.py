@@ -207,6 +207,13 @@ class TestCorpus:
         with pytest.raises(SchemaError, match=r"^field 'repetitions' must be >= 1, got 0$"):
             CorpusSpec(classes, repetitions=0)
 
+    def test_non_string_label_rejected(self, catalog):
+        """An int label used to build a corpus that write_manifest then failed
+        on with a TypeError."""
+        with pytest.raises(SchemaError, match=r"^field 'label' must be a string, got 1$"):
+            generate_corpus(CorpusSpec((ClassSpec(1, SceneScript(duration_s=5)),
+                                        ClassSpec(2, SceneScript(duration_s=5))), 1), catalog)
+
 
 class TestValidation:
     def test_event_beyond_duration(self):
